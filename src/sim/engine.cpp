@@ -38,11 +38,33 @@ struct ThreadState {
   std::size_t region = 0; ///< Awaited region index when kSuspended.
 };
 
+/// FIFO of ready nodes in a buffer sized to the task's node count. A node
+/// is queued at most once per job and every queue is empty when a job
+/// completes (all its nodes ran), so the buffer never overflows: it
+/// rewinds whenever it drains and never allocates after construction.
+class NodeQueue {
+ public:
+  explicit NodeQueue(std::size_t capacity = 0) : buf_(capacity) {}
+
+  bool empty() const { return head_ == tail_; }
+  NodeId front() const { return buf_[head_]; }
+  NodeId back() const { return buf_[tail_ - 1]; }
+  void push_back(NodeId v) { buf_[tail_++] = v; }
+  void pop_front() { if (++head_ == tail_) head_ = tail_ = 0; }
+  void pop_back() { if (--tail_ == head_) head_ = tail_ = 0; }
+
+ private:
+  std::vector<NodeId> buf_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+};
+
 /// Runtime state of one task (its pool and current job).
 struct PoolState {
   std::vector<ThreadState> threads;
-  std::deque<NodeId> pool_queue;                ///< Global intra-pool queue.
-  std::vector<std::deque<NodeId>> thread_queues;///< Partitioned queues.
+  NodeQueue pool_queue;                  ///< Global intra-pool queue.
+  std::vector<NodeQueue> thread_queues;  ///< Partitioned queues.
+  std::size_t busy = 0;                  ///< Threads in ThreadMode::kBusy.
 
   bool job_active = false;
   std::uint64_t job_number = 0;
@@ -68,6 +90,10 @@ struct RunSlot {
   bool operator==(const RunSlot&) const = default;
 };
 
+/// One simulation run. Everything an event touches is sized in the
+/// constructor: the priority order, the per-task priorities, the node
+/// queues and the dispatch scratch, so the event loop itself does not
+/// allocate (only the result's job records and trace grow).
 class Engine {
  public:
   Engine(const model::TaskSet& ts, const SimConfig& config)
@@ -91,17 +117,28 @@ class Engine {
     if (config_.release_jitter_frac < 0.0)
       throw std::invalid_argument("simulate: negative release jitter");
 
+    order_ = ts_.priority_order();
+    prio_.resize(ts_.size());
     pools_.resize(ts_.size());
     for (std::size_t i = 0; i < ts_.size(); ++i) {
+      const DagTask& task = ts_.task(i);
+      prio_[i] = task.priority();
       PoolState& p = pools_[i];
       p.threads.resize(m_);
-      p.thread_queues.resize(m_);
-      p.region_thread.assign(ts_.task(i).blocking_regions().size(), m_);
+      if (partitioned()) {
+        p.thread_queues.assign(m_, NodeQueue(task.node_count()));
+      } else {
+        p.pool_queue = NodeQueue(task.node_count());
+      }
+      p.region_thread.assign(task.blocking_regions().size(), m_);
       p.min_available = static_cast<long>(m_);
       p.next_release = 0.0;
     }
     running_.assign(m_, std::nullopt);
+    next_.assign(m_, std::nullopt);
     open_interval_.assign(m_, std::nullopt);
+    slots_.reserve(m_);
+    placed_.reserve(m_);
     result_.per_task.resize(ts_.size());
   }
 
@@ -118,7 +155,9 @@ class Engine {
       t = next;
       process_instant(t);
     }
-    finalize(std::min(config_.horizon, std::max(t, 0.0)));
+    // A halted run ends at the miss or stall it stopped on; otherwise the
+    // jobs still in flight are cut off at the horizon, not at the last event.
+    finalize(halted_ ? std::min(config_.horizon, t) : config_.horizon);
     return std::move(result_);
   }
 
@@ -140,9 +179,17 @@ class Engine {
     }
   }
 
+  /// Make `th` (idle, or suspended on the barrier `v` joins) serve `v`.
+  void start_node(std::size_t task, ThreadState& th, NodeId v) {
+    th.mode = ThreadMode::kBusy;
+    th.node = v;
+    th.remaining = ts_.task(task).wcet(v);
+    ++pools_[task].busy;
+  }
+
   // ---- job lifecycle -------------------------------------------------
 
-  void start_job(std::size_t task, Time release, Time /*now*/) {
+  void start_job(std::size_t task, Time release) {
     const DagTask& dag_task = ts_.task(task);
     PoolState& p = pools_[task];
     p.job_active = true;
@@ -191,7 +238,7 @@ class Engine {
     if (!p.backlog.empty()) {
       const Time release = p.backlog.front();
       p.backlog.pop_front();
-      start_job(task, release, now);
+      start_job(task, release);
     }
   }
 
@@ -204,6 +251,7 @@ class Engine {
     const NodeId v = th.node;
 
     th.mode = ThreadMode::kIdle;
+    --p.busy;
     p.done[v] = true;
     --p.nodes_left;
 
@@ -211,7 +259,7 @@ class Engine {
     for (NodeId w : dag_task.dag().successors(v)) {
       if (--p.preds_left[w] != 0) continue;
       if (dag_task.type(w) == NodeType::BJ) {
-        resume_join(task, w, now);
+        resume_join(task, w);
       } else {
         enqueue(task, w);
       }
@@ -226,9 +274,7 @@ class Engine {
       const NodeId join = dag_task.join_of(v);
       if (p.preds_left[join] == 0 && !p.done[join]) {
         // Barrier already open: run the join directly on this thread.
-        th.mode = ThreadMode::kBusy;
-        th.node = join;
-        th.remaining = dag_task.wcet(join);
+        start_node(task, th, join);
       } else if (!p.done[join]) {
         th.mode = ThreadMode::kSuspended;
         th.region = region;
@@ -241,10 +287,9 @@ class Engine {
     if (p.nodes_left == 0) complete_job(task, now);
   }
 
-  void resume_join(std::size_t task, NodeId join, Time /*now*/) {
+  void resume_join(std::size_t task, NodeId join) {
     PoolState& p = pools_[task];
-    const DagTask& dag_task = ts_.task(task);
-    const std::size_t region = *dag_task.region_of(join);
+    const std::size_t region = *ts_.task(task).region_of(join);
     const std::size_t thread = p.region_thread[region];
     if (thread >= m_) {
       // The fork has not suspended yet (it is still executing or its
@@ -252,10 +297,7 @@ class Engine {
       // by running the join directly; nothing to do here.
       return;
     }
-    ThreadState& th = p.threads[thread];
-    th.mode = ThreadMode::kBusy;
-    th.node = join;
-    th.remaining = dag_task.wcet(join);
+    start_node(task, p.threads[thread], join);
     p.region_thread[region] = m_;
     --p.suspended_count;
     record_available(task);
@@ -267,45 +309,40 @@ class Engine {
   /// higher priority; equal-priority busy threads are ahead in FIFO order).
   std::size_t busy_at_least(int prio) const {
     std::size_t count = 0;
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
-      if (ts_.task(i).priority() > prio) continue;
-      for (const ThreadState& th : pools_[i].threads)
-        if (th.mode == ThreadMode::kBusy) ++count;
-    }
+    for (std::size_t i = 0; i < pools_.size(); ++i)
+      if (prio_[i] <= prio) count += pools_[i].busy;
     return count;
   }
 
   void dispatch_global() {
-    // Work-conserving activation: idle threads pull from their pool queue
-    // whenever the pulled node would immediately get a core.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t i = 0; i < ts_.size(); ++i) {
-        PoolState& p = pools_[i];
-        if (p.pool_queue.empty()) continue;
-        const int prio = ts_.task(i).priority();
-        for (std::size_t th = 0; th < m_ && !p.pool_queue.empty(); ++th) {
-          if (p.threads[th].mode != ThreadMode::kIdle) continue;
-          if (busy_at_least(prio) >= m_) break;  // would not get a core
-          const NodeId v = p.pool_queue.front();
-          p.pool_queue.pop_front();
-          p.threads[th].mode = ThreadMode::kBusy;
-          p.threads[th].node = v;
-          p.threads[th].remaining = ts_.task(i).wcet(v);
-          changed = true;
-        }
+    // Work-conserving activation, in task-index order: idle threads pull
+    // from their pool queue whenever the pulled node would immediately get
+    // a core. A pulled node stays on its thread even if a later pull of a
+    // higher-priority pool takes the core. One pass reaches the fixed
+    // point: pulls only add busy threads and drain queues, so a pool that
+    // stopped pulling could not pull again.
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      PoolState& p = pools_[i];
+      if (p.pool_queue.empty()) continue;
+      std::size_t busy = busy_at_least(prio_[i]);
+      for (std::size_t th = 0; th < m_ && busy < m_ && !p.pool_queue.empty(); ++th) {
+        if (p.threads[th].mode != ThreadMode::kIdle) continue;
+        start_node(i, p.threads[th], p.pool_queue.front());
+        p.pool_queue.pop_front();
+        ++busy;
       }
     }
 
     // Give the m highest-priority busy threads the cores.
-    std::vector<RunSlot> busy;
-    for (std::size_t i : ts_.priority_order())
-      for (std::size_t th = 0; th < m_; ++th)
+    slots_.clear();
+    for (std::size_t i : order_) {
+      if (pools_[i].busy == 0) continue;
+      for (std::size_t th = 0; th < m_ && slots_.size() < m_; ++th)
         if (pools_[i].threads[th].mode == ThreadMode::kBusy)
-          busy.push_back({i, th});
-    if (busy.size() > m_) busy.resize(m_);
-    assign_cores(busy);
+          slots_.push_back({i, th});
+      if (slots_.size() == m_) break;
+    }
+    assign_cores();
   }
 
   /// Victim queue index an idle thread of pool `p` on `core` would steal
@@ -318,27 +355,32 @@ class Engine {
     return m_;
   }
 
+  /// Whether the idle thread of pool `p` on `core` has a node to start.
+  bool can_start(const PoolState& p, std::size_t core) const {
+    return !p.thread_queues[core].empty() ||
+           (config_.work_stealing && steal_victim(p, core) < m_);
+  }
+
   void dispatch_partitioned() {
-    std::vector<RunSlot> winners;
+    slots_.clear();
     for (std::size_t core = 0; core < m_; ++core) {
-      std::optional<RunSlot> best;
+      // The highest-priority thread on this core that is busy or can start
+      // a node wins it; order_ ascends in priority, so the scan stops at
+      // the first task that cannot beat the best so far.
+      std::size_t best = pools_.size();
       int best_prio = std::numeric_limits<int>::max();
-      for (std::size_t i : ts_.priority_order()) {
-        const int prio = ts_.task(i).priority();
-        PoolState& p = pools_[i];
-        const ThreadState& th = p.threads[core];
-        const bool busy = th.mode == ThreadMode::kBusy;
-        const bool can_start =
-            th.mode == ThreadMode::kIdle &&
-            (!p.thread_queues[core].empty() ||
-             (config_.work_stealing && steal_victim(p, core) < m_));
-        if ((busy || can_start) && prio < best_prio) {
-          best = RunSlot{i, core};
-          best_prio = prio;
+      for (std::size_t i : order_) {
+        if (prio_[i] >= best_prio) break;
+        const PoolState& p = pools_[i];
+        const ThreadMode mode = p.threads[core].mode;
+        if (mode == ThreadMode::kBusy ||
+            (mode == ThreadMode::kIdle && can_start(p, core))) {
+          best = i;
+          best_prio = prio_[i];
         }
       }
-      if (!best.has_value()) continue;
-      PoolState& p = pools_[best->task];
+      if (best == pools_.size()) continue;
+      PoolState& p = pools_[best];
       ThreadState& th = p.threads[core];
       if (th.mode == ThreadMode::kIdle) {
         NodeId v = 0;
@@ -347,43 +389,41 @@ class Engine {
           p.thread_queues[core].pop_front();
         } else {
           // Steal from the back of the victim queue, Eigen-style.
-          const std::size_t victim = steal_victim(p, core);
-          v = p.thread_queues[victim].back();
-          p.thread_queues[victim].pop_back();
+          NodeQueue& victim = p.thread_queues[steal_victim(p, core)];
+          v = victim.back();
+          victim.pop_back();
         }
-        th.mode = ThreadMode::kBusy;
-        th.node = v;
-        th.remaining = ts_.task(best->task).wcet(v);
+        start_node(best, th, v);
       }
-      winners.push_back(*best);
+      slots_.push_back({best, core});
     }
-    assign_cores(winners);
+    assign_cores();
   }
 
-  /// Map the chosen run slots onto cores, keeping continuing slots on their
-  /// previous core so traces show stable placements.
-  void assign_cores(const std::vector<RunSlot>& slots) {
-    std::vector<std::optional<RunSlot>> next(m_);
-    std::vector<bool> placed(slots.size(), false);
+  /// Map the chosen run slots (slots_) onto cores, keeping continuing
+  /// slots on their previous core so traces show stable placements.
+  void assign_cores() {
+    std::fill(next_.begin(), next_.end(), std::nullopt);
+    placed_.assign(slots_.size(), false);
 
     for (std::size_t c = 0; c < m_; ++c) {
       if (!running_[c].has_value()) continue;
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!placed[s] && slots[s] == *running_[c]) {
-          next[c] = slots[s];
-          placed[s] = true;
+      for (std::size_t s = 0; s < slots_.size(); ++s) {
+        if (!placed_[s] && slots_[s] == *running_[c]) {
+          next_[c] = slots_[s];
+          placed_[s] = true;
           break;
         }
       }
     }
     std::size_t cursor = 0;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (placed[s]) continue;
-      while (cursor < m_ && next[cursor].has_value()) ++cursor;
-      if (cursor >= m_) break;  // defensive; slots.size() <= m_ by construction
-      next[cursor] = slots[s];
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      if (placed_[s]) continue;
+      while (cursor < m_ && next_[cursor].has_value()) ++cursor;
+      if (cursor >= m_) break;  // defensive; slots_.size() <= m_ by construction
+      next_[cursor] = slots_[s];
     }
-    running_ = std::move(next);
+    running_.swap(next_);
   }
 
   // ---- trace -----------------------------------------------------------
@@ -420,53 +460,69 @@ class Engine {
   }
 
   void process_instant(Time t) {
+    // Dispatch reads thread modes and queues; advance() only lowers
+    // `remaining`, and a dispatch on unchanged modes and queues changes
+    // nothing. So dispatch runs only after a release or a completion.
     bool changed = true;
+    bool completed = false;
     while (changed && !halted_) {
-      changed = false;
-
-      // Job releases due at t.
-      for (std::size_t i = 0; i < ts_.size(); ++i) {
-        PoolState& p = pools_[i];
-        while (!p.releases_exhausted && p.next_release <= t + kEps) {
-          const Time release = p.next_release;
-          ++result_.per_task[i].jobs_released;
-          if (p.job_active) {
-            p.backlog.push_back(release);
-          } else {
-            start_job(i, release, t);
-          }
-          schedule_next_release(i, release);
-          changed = true;
+      const bool released = release_due_jobs(t);
+      if (released || completed) {
+        if (partitioned()) {
+          dispatch_partitioned();
+        } else {
+          dispatch_global();
         }
       }
-
-      if (partitioned()) {
-        dispatch_partitioned();
-      } else {
-        dispatch_global();
-      }
-
-      // Completions of running nodes that have exhausted their budget.
-      for (std::size_t c = 0; c < m_; ++c) {
-        if (!running_[c].has_value()) continue;
-        const RunSlot slot = *running_[c];
-        ThreadState& th = pools_[slot.task].threads[slot.thread];
-        if (th.mode == ThreadMode::kBusy && th.remaining <= completion_eps(t)) {
-          // Close the trace interval at the true finish time.
-          if (config_.collect_trace && open_interval_[c].has_value()) {
-            const OpenInterval& oi = *open_interval_[c];
-            if (t > oi.start + kEps)
-              result_.trace.push_back({c, oi.slot.task, oi.node, oi.start, t});
-            open_interval_[c].reset();
-          }
-          complete_node(slot.task, slot.thread, t);
-          running_[c].reset();
-          changed = true;
-        }
-      }
+      completed = complete_due_nodes(t);
+      changed = released || completed;
     }
     trace_switch(t);
     detect_deadlocks(t);
+  }
+
+  /// Job releases due at t; true if any.
+  bool release_due_jobs(Time t) {
+    bool released = false;
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
+      PoolState& p = pools_[i];
+      while (!p.releases_exhausted && p.next_release <= t + kEps) {
+        const Time release = p.next_release;
+        ++result_.per_task[i].jobs_released;
+        if (p.job_active) {
+          p.backlog.push_back(release);
+        } else {
+          start_job(i, release);
+        }
+        schedule_next_release(i, release);
+        released = true;
+      }
+    }
+    return released;
+  }
+
+  /// Completions of running nodes that have exhausted their budget; true
+  /// if any.
+  bool complete_due_nodes(Time t) {
+    bool completed = false;
+    for (std::size_t c = 0; c < m_; ++c) {
+      if (!running_[c].has_value()) continue;
+      const RunSlot slot = *running_[c];
+      ThreadState& th = pools_[slot.task].threads[slot.thread];
+      if (th.mode == ThreadMode::kBusy && th.remaining <= completion_eps(t)) {
+        // Close the trace interval at the true finish time.
+        if (config_.collect_trace && open_interval_[c].has_value()) {
+          const OpenInterval& oi = *open_interval_[c];
+          if (t > oi.start + kEps)
+            result_.trace.push_back({c, oi.slot.task, oi.node, oi.start, t});
+          open_interval_[c].reset();
+        }
+        complete_node(slot.task, slot.thread, t);
+        running_[c].reset();
+        completed = true;
+      }
+    }
+    return completed;
   }
 
   void schedule_next_release(std::size_t task, Time current_release) {
@@ -488,14 +544,9 @@ class Engine {
   /// barrier whose members do (see engine.h).
   void detect_deadlocks(Time t) {
     if (result_.deadlock.has_value()) return;
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
       PoolState& p = pools_[i];
-      if (!p.job_active || p.deadlocked) continue;
-      const bool any_busy =
-          std::any_of(p.threads.begin(), p.threads.end(), [](const ThreadState& th) {
-            return th.mode == ThreadMode::kBusy;
-          });
-      if (any_busy) continue;
+      if (!p.job_active || p.deadlocked || p.busy > 0) continue;
 
       // Distinguish a *preempted* pool (work is dispatchable, the threads
       // simply lost their cores to higher-priority tasks) from a *stuck*
@@ -504,9 +555,7 @@ class Engine {
       bool dispatchable = false;
       if (partitioned()) {
         for (std::size_t th = 0; th < m_; ++th) {
-          if (p.threads[th].mode != ThreadMode::kIdle) continue;
-          if (!p.thread_queues[th].empty() ||
-              (config_.work_stealing && steal_victim(p, th) < m_)) {
+          if (p.threads[th].mode == ThreadMode::kIdle && can_start(p, th)) {
             dispatchable = true;
             break;
           }
@@ -537,9 +586,8 @@ class Engine {
 
   Time next_event_time(Time t) const {
     Time next = std::numeric_limits<Time>::infinity();
-    for (std::size_t i = 0; i < ts_.size(); ++i)
-      if (!pools_[i].releases_exhausted)
-        next = std::min(next, pools_[i].next_release);
+    for (const PoolState& p : pools_)
+      if (!p.releases_exhausted) next = std::min(next, p.next_release);
     for (const auto& slot : running_) {
       if (!slot.has_value()) continue;
       const ThreadState& th = pools_[slot->task].threads[slot->thread];
@@ -550,7 +598,7 @@ class Engine {
 
   void finalize(Time t) {
     trace_switch(t);
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
+    for (std::size_t i = 0; i < pools_.size(); ++i) {
       PoolState& p = pools_[i];
       result_.per_task[i].min_available_concurrency = p.min_available;
       if (!p.job_active) continue;
@@ -583,9 +631,15 @@ class Engine {
   std::size_t m_;
   util::Rng rng_;
 
+  std::vector<std::size_t> order_;  ///< Task indices by ascending priority.
+  std::vector<int> prio_;           ///< Per task.
   std::vector<PoolState> pools_;
   std::vector<std::optional<RunSlot>> running_;  ///< Per core.
   std::vector<std::optional<OpenInterval>> open_interval_{};
+  // Dispatch scratch, reused by every dispatch.
+  std::vector<RunSlot> slots_;                   ///< Chosen busy threads.
+  std::vector<std::optional<RunSlot>> next_;     ///< assign_cores' result.
+  std::vector<bool> placed_;                     ///< Per slot.
   SimResult result_;
   bool halted_ = false;
 };

@@ -43,7 +43,9 @@ enum class SchedulingPolicy { kGlobal, kPartitioned };
 struct SimConfig {
   SchedulingPolicy policy = SchedulingPolicy::kGlobal;
   /// Simulate releases in [0, horizon); running jobs are completed or cut
-  /// off at `horizon` (incomplete jobs count as deadline misses).
+  /// off at `horizon` (earlier when the run halts on a miss or a deadlock).
+  /// A cut-off job counts as a deadline miss only if its deadline lies
+  /// before the cut-off time, or its task deadlocked.
   util::Time horizon = 0.0;
   /// Node-to-thread assignment; required when policy == kPartitioned.
   std::optional<analysis::TaskSetPartition> partition;
@@ -69,7 +71,7 @@ struct JobRecord {
   std::size_t task_index = 0;
   std::uint64_t job_number = 0;
   util::Time release = 0.0;
-  util::Time completion = 0.0;  ///< = horizon when cut off.
+  util::Time completion = 0.0;  ///< Cut-off time when cut off (see SimConfig::horizon).
   util::Time response = 0.0;
   bool completed = false;
   bool deadline_miss = false;

@@ -79,6 +79,10 @@ struct BadInput {
   const char* text;
 };
 
+// Without this gtest prints a BadInput as its raw bytes — two pointers whose
+// values change from run to run — and the listed test names with them.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.label; }
+
 class IoErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(IoErrorTest, Rejects) {

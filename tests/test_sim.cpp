@@ -1,9 +1,18 @@
 // Unit tests for the discrete-event thread-pool simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <optional>
 #include <sstream>
+#include <string>
 
+#include "analysis/analyzer.h"
 #include "analysis/partition.h"
+#include "gen/scenario_space.h"
+#include "gen/taskset_generator.h"
 #include "model/builder.h"
 #include "sim/engine.h"
 #include "sim/gantt.h"
@@ -510,6 +519,168 @@ TEST(SimTest, BacklogPreservesReleaseTimes) {
   EXPECT_NEAR(r.jobs[0].response, 7.0, 1e-9);
   EXPECT_NEAR(r.jobs[1].response, 9.0, 1e-9);  // released 5, done 14
   EXPECT_TRUE(r.jobs[1].deadline_miss);
+}
+
+TEST(SimTest, CutOffJobEndsAtHorizonNotAtLastEvent) {
+  // m = 1: hp runs 0..5, then lp needs 5..15 but its deadline is 12. The
+  // next event (lp's completion at 15) lies past the horizon 14, so lp is
+  // cut off — at the horizon, after its deadline: a miss.
+  TaskSet ts(1);
+  {
+    DagTaskBuilder b("hp");
+    b.add_node(5.0);
+    b.period(20.0).priority(0);
+    ts.add(b.build());
+  }
+  {
+    DagTaskBuilder b("lp");
+    b.add_node(10.0);
+    b.period(20.0).deadline(12.0).priority(1);
+    ts.add(b.build());
+  }
+  const SimResult r = simulate(ts, global_config(14.0));
+  EXPECT_TRUE(r.any_deadline_miss);
+  ASSERT_EQ(r.jobs.size(), 2u);
+  const JobRecord& lp = r.jobs[1];
+  EXPECT_EQ(lp.task_index, 1u);
+  EXPECT_FALSE(lp.completed);
+  EXPECT_TRUE(lp.deadline_miss);
+  EXPECT_DOUBLE_EQ(lp.completion, 14.0);
+  EXPECT_DOUBLE_EQ(lp.response, 14.0);
+
+  OracleOptions options;
+  options.windows = 0.7;  // horizon 0.7 x 20 = 14
+  const SimVerdict verdict = oracle_verdict(ts, options);
+  EXPECT_EQ(verdict.outcome, SimOutcome::kDeadlineMiss);
+  EXPECT_EQ(verdict.first_violation_task, 1u);
+}
+
+/// FNV-1a over a text rendering of every SimResult field (doubles as %.17g).
+void fold_result(std::uint64_t& hash, const SimResult& r) {
+  std::string text;
+  char buf[64];
+  const auto num = [&](double x) {
+    std::snprintf(buf, sizeof buf, "%.17g,", x);
+    text += buf;
+  };
+  const auto integer = [&](long long x) { text += std::to_string(x) + ','; };
+  for (const JobRecord& j : r.jobs) {
+    integer(static_cast<long long>(j.task_index));
+    integer(static_cast<long long>(j.job_number));
+    num(j.release);
+    num(j.completion);
+    num(j.response);
+    integer(j.completed);
+    integer(j.deadline_miss);
+  }
+  text += '|';
+  for (const TaskStats& s : r.per_task) {
+    integer(static_cast<long long>(s.jobs_released));
+    integer(static_cast<long long>(s.jobs_completed));
+    integer(static_cast<long long>(s.deadline_misses));
+    num(s.max_response);
+    integer(s.min_available_concurrency);
+  }
+  text += '|';
+  if (r.deadlock.has_value()) {
+    integer(static_cast<long long>(r.deadlock->task_index));
+    num(r.deadlock->time);
+    text += r.deadlock->description;
+  }
+  text += '|';
+  for (const ExecutionInterval& iv : r.trace) {
+    integer(static_cast<long long>(iv.core));
+    integer(static_cast<long long>(iv.task_index));
+    integer(static_cast<long long>(iv.node));
+    num(iv.start);
+    num(iv.end);
+  }
+  integer(r.any_deadline_miss);
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+}
+
+TEST(SimGoldenTest, CorpusSetDigests) {
+  // Whole-SimResult digests over about 100 corpus sets (m = 4, one window
+  // of the longest period) under five configurations. Any change to a job
+  // record, a statistic, a deadlock report or a trace interval moves them.
+  const gen::ScenarioSpace space = gen::ScenarioSpace::corpus_default();
+  const std::size_t cores = 4;
+  const double max_node_releases = 6000.0;  // keeps the case fast
+
+  constexpr std::size_t kConfigs = 5;
+  std::uint64_t digest[kConfigs];
+  std::size_t runs[kConfigs] = {};
+  for (std::uint64_t& h : digest) h = 14695981039346656037ULL;
+  const auto run = [&](std::size_t k, const TaskSet& ts, const SimConfig& cfg) {
+    fold_result(digest[k], simulate(ts, cfg));
+    ++runs[k];
+  };
+
+  std::size_t sets = 0;
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    util::Rng rng(seed);
+    std::optional<TaskSet> ts;
+    try {
+      ts.emplace(space.pick(seed).make(cores, rng));
+    } catch (const gen::GenerationError&) {
+      continue;
+    }
+    util::Time horizon = 0.0;
+    for (const DagTask& t : ts->tasks()) horizon = std::max(horizon, t.period());
+    double node_releases = 0.0;
+    for (const DagTask& t : ts->tasks())
+      node_releases += std::ceil(horizon / t.period()) *
+                       static_cast<double>(t.node_count());
+    if (node_releases > max_node_releases) continue;
+    ++sets;
+
+    const SimConfig global = global_config(horizon);
+    run(0, *ts, global);
+
+    const analysis::PartitionResult proposed =
+        analysis::get_analyzer("partitioned-proposed").make_partition(*ts);
+    if (proposed.success()) {
+      SimConfig cfg = global;
+      cfg.policy = SchedulingPolicy::kPartitioned;
+      cfg.partition = proposed.partition;
+      run(1, *ts, cfg);
+    }
+
+    const analysis::PartitionResult worst_fit = analysis::partition_worst_fit(*ts);
+    if (worst_fit.success()) {
+      SimConfig cfg = global;
+      cfg.policy = SchedulingPolicy::kPartitioned;
+      cfg.partition = worst_fit.partition;
+      cfg.work_stealing = true;
+      run(2, *ts, cfg);
+    }
+
+    SimConfig jitter = global;
+    jitter.release_jitter_frac = 0.3;
+    jitter.seed = seed;
+    run(3, *ts, jitter);
+
+    SimConfig traced = global;
+    traced.collect_trace = true;
+    run(4, *ts, traced);
+  }
+
+  const std::size_t expected_runs[kConfigs] = {103, 84, 103, 103, 103};
+  const std::uint64_t expected[kConfigs] = {
+      0x89de7d7c849a9e1eULL, 0x6ca2a07b9c43fc2aULL, 0xb790988e7cd812b2ULL,
+      0xeff3b2d678993833ULL, 0x6affadae3b1a86edULL};
+  const char* const names[kConfigs] = {"global", "partitioned-proposed",
+                                       "worst-fit+stealing", "jitter",
+                                       "trace"};
+  EXPECT_EQ(sets, 103u);
+  for (std::size_t k = 0; k < kConfigs; ++k) {
+    EXPECT_EQ(runs[k], expected_runs[k]) << names[k];
+    EXPECT_EQ(digest[k], expected[k])
+        << names[k] << ": 0x" << std::hex << digest[k];
+  }
 }
 
 }  // namespace
