@@ -1,12 +1,8 @@
-// Flag handling shared by the bench drivers.
+// Flag handling shared by the bench drivers and rtpool_cli.
 //
 // Every driver accepts the same engine/run plumbing — `--threads`, `--seed`,
-// `--trials`, `--list-analyzers` — plus its own figure-specific keys. This
-// header keeps that plumbing in one place so the drivers stop copy-pasting
-// util::Args boilerplate, and gives them registry-based analyzer selection:
-// a comparison driver takes `--global-pair baseline,proposed` /
-// `--part-pair baseline,proposed` registry names instead of hard-coding the
-// legacy Scheduler enum's two tests.
+// `--trials`, `--certify-sample`, `--list-analyzers` — plus its own keys.
+// Only perf_sweep reads `--certify-sample`; the others accept and ignore it.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +12,6 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
-#include "exp/schedulability.h"
 #include "util/args.h"
 
 namespace rtpool::bench {
@@ -55,8 +50,6 @@ struct CommonFlags {
   int threads = 1;           ///< Engine workers (0 = all hardware threads).
   std::uint64_t seed = 1;    ///< Root seed (forked per attempt).
   int trials = 500;          ///< Accepted task sets per point.
-  /// Certificate spot-checks per point (PointConfig::certify_sample; 0 = off).
-  int certify_sample = 0;
 };
 
 inline CommonFlags common_flags(const util::Args& args, int default_trials = 500) {
@@ -64,24 +57,7 @@ inline CommonFlags common_flags(const util::Args& args, int default_trials = 500
   flags.threads = static_cast<int>(args.get_int("threads", 1));
   flags.seed = args.get_uint64("seed", 1);
   flags.trials = static_cast<int>(args.get_int("trials", default_trials));
-  flags.certify_sample = static_cast<int>(args.get_int("certify-sample", 0));
   return flags;
-}
-
-/// Resolve a `--…-pair` value "baseline,proposed" (two registry names) into
-/// an AnalyzerPair; an empty spec yields the scheduler's canonical pair.
-/// Throws std::invalid_argument (listing registered names) on unknown
-/// analyzers or a malformed spec.
-inline exp::AnalyzerPair parse_pair(const std::string& spec,
-                                    exp::Scheduler fallback) {
-  if (spec.empty()) return exp::analyzers_for(fallback);
-  const std::size_t comma = spec.find(',');
-  if (comma == std::string::npos || spec.find(',', comma + 1) != std::string::npos)
-    throw std::invalid_argument(
-        "analyzer pair must be two comma-separated registry names, got '" +
-        spec + "'");
-  return {&analysis::get_analyzer(spec.substr(0, comma)),
-          &analysis::get_analyzer(spec.substr(comma + 1))};
 }
 
 }  // namespace rtpool::bench

@@ -4,6 +4,7 @@
 // bitset closures and is far below those worst cases in practice).
 #include <benchmark/benchmark.h>
 
+#include "analysis/analyzer.h"
 #include "analysis/concurrency.h"
 #include "analysis/global_rta.h"
 #include "analysis/partition.h"
@@ -271,11 +272,10 @@ BENCHMARK(BM_SensitivityGlobalLegacy);
 void BM_SensitivityGlobalFast(benchmark::State& state) {
   // Fast path: scaled options + shared context + warm starts + cutoffs.
   const auto ts = make_set(8, 8, 50);
-  analysis::GlobalRtaOptions opts;
-  opts.limited_concurrency = true;
+  const analysis::Analyzer& limited = analysis::get_analyzer("global-limited");
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::critical_scaling_factor_global(ts, opts).factor);
+        analysis::critical_scaling_factor(ts, limited).factor);
   }
 }
 BENCHMARK(BM_SensitivityGlobalFast);
@@ -287,12 +287,13 @@ void BM_SensitivityPartitionedFast(benchmark::State& state) {
     state.SkipWithError("worst-fit failed");
     return;
   }
-  analysis::PartitionedRtaOptions opts;
-  opts.require_deadlock_free = false;
+  const analysis::Analyzer& baseline =
+      analysis::get_analyzer("partitioned-baseline");
+  analysis::AnalyzerOptions opts;
+  opts.partition = &*part.partition;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::critical_scaling_factor_partitioned(ts, *part.partition, opts)
-            .factor);
+        analysis::critical_scaling_factor(ts, baseline, opts).factor);
   }
 }
 BENCHMARK(BM_SensitivityPartitionedFast);

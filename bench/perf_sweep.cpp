@@ -33,13 +33,19 @@ using namespace rtpool;
 
 struct CanonicalPoint {
   std::string name;
-  exp::Scheduler scheduler;
+  std::string scheduler;  ///< Arm label in the report: global / partitioned.
+  exp::AnalyzerPair pair;
   exp::PointConfig config;
   std::uint64_t seed_salt;
 };
 
 std::vector<CanonicalPoint> canonical_points(int trials, int certify_sample) {
   std::vector<CanonicalPoint> points;
+  const exp::AnalyzerPair global{&analysis::get_analyzer("global-baseline"),
+                                 &analysis::get_analyzer("global-limited")};
+  const exp::AnalyzerPair partitioned{
+      &analysis::get_analyzer("partitioned-baseline"),
+      &analysis::get_analyzer("partitioned-proposed")};
 
   // Figure 2(a)/(b) style: m = 8, l_max = 4 (blocking window pinned to
   // b̄ = 4), baseline filter on — exercises the discard/regenerate path.
@@ -54,10 +60,10 @@ std::vector<CanonicalPoint> canonical_points(int trials, int certify_sample) {
   lmax.max_attempts = trials * 400;
   lmax.certify_sample = certify_sample;
   lmax.gen.total_utilization = 0.45 * 8.0;
-  points.push_back({"fig2_lmax4_global", exp::Scheduler::kGlobal, lmax, 1000003});
+  points.push_back({"fig2_lmax4_global", "global", global, lmax, 1000003});
   lmax.gen.total_utilization = 0.175 * 8.0;
   points.push_back(
-      {"fig2_lmax4_partitioned", exp::Scheduler::kPartitioned, lmax, 2000003});
+      {"fig2_lmax4_partitioned", "partitioned", partitioned, lmax, 2000003});
 
   // Figure 2(c) style: m = 8, free typing, nothing discarded.
   exp::PointConfig m8;
@@ -70,9 +76,9 @@ std::vector<CanonicalPoint> canonical_points(int trials, int certify_sample) {
   m8.trials = trials;
   m8.max_attempts = trials * 100;
   m8.certify_sample = certify_sample;
-  points.push_back({"fig2_m8_global", exp::Scheduler::kGlobal, m8, 3000017});
+  points.push_back({"fig2_m8_global", "global", global, m8, 3000017});
   points.push_back(
-      {"fig2_m8_partitioned", exp::Scheduler::kPartitioned, m8, 4000037});
+      {"fig2_m8_partitioned", "partitioned", partitioned, m8, 4000037});
 
   return points;
 }
@@ -112,7 +118,7 @@ int main(int argc, char** argv) {
 
   for (const CanonicalPoint& point : canonical_points(trials, certify_sample)) {
     const util::Rng rng(seed * point.seed_salt + 17);
-    const exp::AnalyzerPair pair = exp::analyzers_for(point.scheduler);
+    const exp::AnalyzerPair& pair = point.pair;
     std::optional<exp::PointResult> reference;
     bool deterministic = true;
     double reference_wall = 0.0;  // wall of the first (reference) run
@@ -129,7 +135,7 @@ int main(int argc, char** argv) {
 
     json.begin_object();
     json.kv("name", point.name);
-    json.kv("scheduler", std::string(exp::scheduler_name(point.scheduler)));
+    json.kv("scheduler", point.scheduler);
     json.key("runs");
     json.begin_array();
     for (std::int64_t t : thread_list) {

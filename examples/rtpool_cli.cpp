@@ -33,7 +33,6 @@
 #include "gen/taskset_generator.h"
 #include "graph/dot.h"
 #include "exp/report_json.h"
-#include "exp/schedulability.h"
 #include "lint/render.h"
 #include "model/io.h"
 #include "sim/engine.h"
@@ -338,15 +337,13 @@ int main(int argc, char** argv) {
     } else if (!analyzer_spec.empty()) {
       run_analyzers_cli(ts, analyzer_spec);
     } else {
-      // Default sections, keyed by the legacy scheduler names (a thin view
-      // over the registry pairs; see exp::parse_scheduler).
+      // Default sections: the global pair, the partitioned pair, or both.
       const std::string scheduler = args.get_string("scheduler", "both");
-      const bool both = scheduler == "both";
-      if (both || exp::parse_scheduler(scheduler) == exp::Scheduler::kGlobal)
-        analyze_global_cli(ts);
-      if (both ||
-          exp::parse_scheduler(scheduler) == exp::Scheduler::kPartitioned)
-        analyze_partitioned_cli(ts);
+      if (scheduler != "both" && scheduler != "global" && scheduler != "partitioned")
+        throw std::invalid_argument("unknown scheduler '" + scheduler +
+                                    "' (valid: global, partitioned)");
+      if (scheduler != "partitioned") analyze_global_cli(ts);
+      if (scheduler != "global") analyze_partitioned_cli(ts);
     }
 
     int safety_disagreements = 0;

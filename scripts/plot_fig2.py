@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Plot the Figure-2 reproduction CSVs written by the bench binaries.
+"""Plot the Figure-2 reproduction CSVs written by the sweep driver.
 
 Usage:
-    bench/fig2_lmax --csv fig2_lmax.csv
-    bench/fig2_m    --csv fig2_m.csv
-    bench/fig2_n    --csv fig2_n.csv
+    build/bench/sweep --figure fig2_lmax    # writes fig2_lmax.csv here
+    build/bench/sweep --figure fig2_m
+    build/bench/sweep --figure fig2_n
     python3 scripts/plot_fig2.py fig2_lmax.csv fig2_m.csv fig2_n.csv -o fig2.png
 
 Produces one row of paired insets per CSV (global left, partitioned right),

@@ -450,29 +450,4 @@ void register_analyzer(std::unique_ptr<Analyzer> analyzer) {
   reg.analyzers.push_back(std::move(analyzer));
 }
 
-const Analyzer& analyzer_for(const GlobalRtaOptions& options) {
-  std::string name = "global-";
-  if (!options.limited_concurrency) {
-    name += "baseline";
-  } else {
-    name += "limited";
-    if (options.concurrency == ConcurrencyBound::kMaxAntichain)
-      name += "-antichain";
-  }
-  if (options.bound == InterferenceBound::kMelaniCarryIn) name += "-carryin";
-  return get_analyzer(name);
-}
-
-const Analyzer& analyzer_for(const PartitionedRtaOptions& options) {
-  std::string name =
-      options.require_deadlock_free ? "partitioned-proposed" : "partitioned-baseline";
-  if (options.bound == PartitionedBound::kHolisticPath) name += "-holistic";
-  return get_analyzer(name);
-}
-
-const Analyzer& analyzer_for(const FederatedOptions& options) {
-  return get_analyzer(options.limited_concurrency ? "federated-limited"
-                                                  : "federated");
-}
-
 }  // namespace rtpool::analysis

@@ -4,10 +4,11 @@
 // The repo grew three analysis families (global Melani-style RTA with the
 // paper's limited-concurrency adaptation, partitioned Fonseca-style RTA
 // over Algorithm-1/worst-fit partitions, federated scheduling) and every
-// consumer — the experiment engine, the sensitivity search, the CLI, nine
-// bench drivers — used to bind to each family through its own free-function
+// consumer — the experiment engine, the sensitivity search, the CLI, the
+// figure sweeps — used to bind to each family through its own free-function
 // signature, options struct and result struct. This header collapses those
-// call shapes into a single spine:
+// call shapes into a single spine, and registry names are the only way to
+// select an analysis:
 //
 //                   ┌─────────────────────────────┐
 //    name ────────► │  registry (find / get / …)  │
@@ -196,20 +197,5 @@ std::vector<const Analyzer*> registered_analyzers();
 /// hook). Throws std::invalid_argument on a duplicate or empty name. The
 /// registry takes ownership; registration is permanent for the process.
 void register_analyzer(std::unique_ptr<Analyzer> analyzer);
-
-// ---- legacy-options resolvers ----
-//
-// Map a family options struct onto the registered analyzer with that
-// identity (the cross-cutting fields wcet_scale/max_iterations are carried
-// by the AnalyzerOptions envelope instead and ignored here). Every
-// representable combination has a registered analyzer, so the pre-spine
-// entry points remain expressible as one registry lookup.
-
-const Analyzer& analyzer_for(const GlobalRtaOptions& options);
-/// Maps require_deadlock_free onto the proposed (Algorithm 1) / baseline
-/// (worst-fit) pair; the partitioner identity only matters when no explicit
-/// partition is supplied through the envelope.
-const Analyzer& analyzer_for(const PartitionedRtaOptions& options);
-const Analyzer& analyzer_for(const FederatedOptions& options);
 
 }  // namespace rtpool::analysis

@@ -1,8 +1,9 @@
 // Cross-layer cache and warm-start state for repeated response-time
 // analyses.
 //
-// One schedulability probe is never alone: `exp::evaluate_task_set` runs
-// four analyses on the same task set per trial, and the sensitivity binary
+// One schedulability probe is never alone: an experiment point runs a
+// baseline and a proposed analysis on the same task set per trial, the
+// figure sweeps run up to four, and the sensitivity binary
 // search (sensitivity.h) runs the same analysis at dozens of WCET scales.
 // Before this class every call re-derived identical state — priority
 // orders, per-core workloads W_{j,p}, FIFO blocking vectors B_v, Lemma-3

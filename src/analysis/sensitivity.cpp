@@ -117,27 +117,4 @@ SensitivityResult critical_scaling_factor(const model::TaskSet& ts,
   return result;
 }
 
-SensitivityResult critical_scaling_factor_global(
-    const model::TaskSet& ts, const GlobalRtaOptions& rta,
-    const SensitivityOptions& options) {
-  AnalyzerOptions base;
-  base.max_iterations = rta.max_iterations;
-  return critical_scaling_factor(ts, analyzer_for(rta), base, options);
-}
-
-SensitivityResult critical_scaling_factor_partitioned(
-    const model::TaskSet& ts, const TaskSetPartition& partition,
-    const PartitionedRtaOptions& rta, const SensitivityOptions& options) {
-  AnalyzerOptions base;
-  base.max_iterations = rta.max_iterations;
-  base.partition = &partition;
-  return critical_scaling_factor(ts, analyzer_for(rta), base, options);
-}
-
-SensitivityResult critical_scaling_factor_federated(
-    const model::TaskSet& ts, const FederatedOptions& fed,
-    const SensitivityOptions& options) {
-  return critical_scaling_factor(ts, analyzer_for(fed), {}, options);
-}
-
 }  // namespace rtpool::analysis

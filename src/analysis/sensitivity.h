@@ -26,20 +26,12 @@
 //    lower-bounds a task's response by s·len, so such probes always
 //    fail). The probe *sequence* is identical to the generic path.
 //
-// The former per-family fast paths
-// `critical_scaling_factor_{global,partitioned,federated}` survive as thin
-// wrappers that resolve their options struct to the registered analyzer
-// (`analyzer_for`) and delegate — bit-identical to both their pre-spine
-// implementations and the analyzer-generic driver.
+// The predicate path is the reference the fast path is tested against.
 #pragma once
 
 #include <functional>
 
 #include "analysis/analyzer.h"
-#include "analysis/federated.h"
-#include "analysis/global_rta.h"
-#include "analysis/partition.h"
-#include "analysis/partitioned_rta.h"
 #include "model/task_set.h"
 
 namespace rtpool::analysis {
@@ -50,16 +42,16 @@ struct SensitivityOptions {
   double hi = 8.0;        ///< Upper bracket; results are clamped below it.
   double tolerance = 1e-3;///< Absolute tolerance on s.
   int max_iterations = 64;
-  /// Fast paths only: reuse converged fixed points from earlier passing
+  /// Fast path only: reuse converged fixed points from earlier passing
   /// probes as iteration starts (bit-identical results; see rta_context.h).
   /// Exposed so tests can assert warm ≡ cold.
   bool warm_start = true;
-  /// Fast paths only: fail probes whose scaled critical path already
+  /// Fast path only: fail probes whose scaled critical path already
   /// exceeds some deadline without running the analysis (verdict-safe).
   bool critical_path_cutoff = true;
 };
 
-/// Telemetry-carrying result of the fast sensitivity paths.
+/// Telemetry-carrying result of the fast sensitivity path.
 struct SensitivityResult {
   double factor = 0.0;        ///< The critical scaling factor (0.0 = infeasible).
   int probes = 0;             ///< Schedulability probes issued (incl. cutoffs).
@@ -95,27 +87,5 @@ SensitivityResult critical_scaling_factor(const model::TaskSet& ts,
                                           const Analyzer& analyzer,
                                           const AnalyzerOptions& base = {},
                                           const SensitivityOptions& options = {});
-
-/// Fast path: critical scaling factor of `analyze_global(ts, rta)` (the
-/// `rta.wcet_scale` field is overwritten per probe). Thin wrapper over the
-/// analyzer-generic driver via `analyzer_for(rta)`.
-SensitivityResult critical_scaling_factor_global(
-    const model::TaskSet& ts, const GlobalRtaOptions& rta,
-    const SensitivityOptions& options = {});
-
-/// Fast path: critical scaling factor of
-/// `analyze_partitioned(ts, partition, rta)`. The partition is bound once
-/// into the probe context; blocking vectors and per-core workloads are
-/// computed once for the whole search. Thin wrapper over the
-/// analyzer-generic driver via `analyzer_for(rta)`.
-SensitivityResult critical_scaling_factor_partitioned(
-    const model::TaskSet& ts, const TaskSetPartition& partition,
-    const PartitionedRtaOptions& rta, const SensitivityOptions& options = {});
-
-/// Fast path: critical scaling factor of `analyze_federated(ts, fed)`.
-/// Thin wrapper over the analyzer-generic driver via `analyzer_for(fed)`.
-SensitivityResult critical_scaling_factor_federated(
-    const model::TaskSet& ts, const FederatedOptions& fed,
-    const SensitivityOptions& options = {});
 
 }  // namespace rtpool::analysis

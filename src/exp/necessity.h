@@ -7,7 +7,7 @@
 // (For global FP scheduling of DAG tasks the synchronous arrival sequence
 // is NOT a proven critical instant, so passing the simulation does not
 // prove schedulability — the gap between the two conditions brackets the
-// analysis pessimism, measured by bench/gap_analysis.)
+// analysis pessimism, measured by `sweep --figure gap_analysis`.)
 #pragma once
 
 #include "analysis/partition.h"

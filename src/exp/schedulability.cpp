@@ -2,55 +2,12 @@
 
 #include <algorithm>
 #include <optional>
-#include <stdexcept>
-#include <string>
 
 #include "analysis/analyzer.h"
 #include "analysis/cert_check.h"
 #include "analysis/rta_context.h"
 
 namespace rtpool::exp {
-
-AnalyzerPair analyzers_for(Scheduler scheduler) {
-  switch (scheduler) {
-    case Scheduler::kGlobal:
-      return {&analysis::get_analyzer("global-baseline"),
-              &analysis::get_analyzer("global-limited")};
-    case Scheduler::kPartitioned:
-      return {&analysis::get_analyzer("partitioned-baseline"),
-              &analysis::get_analyzer("partitioned-proposed")};
-  }
-  throw std::invalid_argument("analyzers_for: bad Scheduler value");
-}
-
-Scheduler parse_scheduler(std::string_view name) {
-  if (name == "global") return Scheduler::kGlobal;
-  if (name == "partitioned") return Scheduler::kPartitioned;
-  throw std::invalid_argument("unknown scheduler '" + std::string(name) +
-                              "' (valid: global, partitioned)");
-}
-
-std::string_view scheduler_name(Scheduler scheduler) {
-  return scheduler == Scheduler::kGlobal ? "global" : "partitioned";
-}
-
-SetVerdict evaluate_task_set(const AnalyzerPair& pair, const model::TaskSet& ts,
-                             analysis::RtaContext* ctx) {
-  std::optional<analysis::RtaContext> local_ctx;
-  if (ctx == nullptr) {
-    local_ctx.emplace(ts);
-    ctx = &*local_ctx;
-  }
-  SetVerdict verdict;
-  verdict.baseline = pair.baseline->analyze(ts, *ctx).schedulable;
-  verdict.proposed = pair.proposed->analyze(ts, *ctx).schedulable;
-  return verdict;
-}
-
-SetVerdict evaluate_task_set(Scheduler scheduler, const model::TaskSet& ts,
-                             analysis::RtaContext* ctx) {
-  return evaluate_task_set(analyzers_for(scheduler), ts, ctx);
-}
 
 namespace {
 
@@ -85,7 +42,7 @@ PointResult ExperimentEngine::evaluate_point(const AnalyzerPair& pair,
   PointResult result;
   if (config.trials <= 0) return result;
 
-  const AttemptLoopStats stats = run_attempts(
+  const AttemptLoopStats stats = runner_.run_attempts(
       static_cast<std::size_t>(config.trials),
       static_cast<std::size_t>(std::max(config.max_attempts, 0)), rng,
       [&](std::size_t /*attempt*/, util::Rng& arng) {
@@ -156,24 +113,6 @@ PointResult ExperimentEngine::evaluate_point(const AnalyzerPair& pair,
       });
   result.attempts_exhausted = stats.exhausted;
   return result;
-}
-
-PointResult ExperimentEngine::evaluate_point(Scheduler scheduler,
-                                             const PointConfig& config,
-                                             const util::Rng& rng) {
-  return evaluate_point(analyzers_for(scheduler), config, rng);
-}
-
-PointResult evaluate_point(const AnalyzerPair& pair, const PointConfig& config,
-                           util::Rng& rng) {
-  ExperimentEngine engine(1);
-  return engine.evaluate_point(pair, config, rng);
-}
-
-PointResult evaluate_point(Scheduler scheduler, const PointConfig& config,
-                           util::Rng& rng) {
-  ExperimentEngine engine(1);
-  return engine.evaluate_point(scheduler, config, rng);
 }
 
 }  // namespace rtpool::exp

@@ -1,14 +1,15 @@
 // Schedulability-ratio experiments (Section 5).
 //
 // Each evaluation point generates random task sets and compares two
-// schedulability tests:
+// registered analyzers (analysis/analyzer.h), a baseline and a proposed
+// test. The paper's two pairs are
 //
-//   Global      baseline: Melani et al. [14] (ignores reduced concurrency)
-//               proposed: Section 4.1 (interference divided by l̄(τ))
-//   Partitioned baseline: worst-fit partitioning + [10]-style RTA
-//                         (ignores reduced concurrency, possibly unsafe)
-//               proposed: Algorithm 1 partitioning + the same RTA, plus the
-//                         Lemma 3 deadlock-freedom requirement
+//   global:      "global-baseline" (Melani et al. [14], ignores reduced
+//                concurrency) vs "global-limited" (Section 4.1,
+//                interference divided by l̄(τ));
+//   partitioned: "partitioned-baseline" (worst-fit + [10]-style RTA,
+//                possibly unsafe) vs "partitioned-proposed" (Algorithm 1 +
+//                the same RTA + the Lemma 3 deadlock-freedom requirement).
 //
 // Mirroring the paper's setup, a point can *filter* generation: task sets
 // not schedulable by the baseline test are discarded and regenerated, so
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "exp/sharded_runner.h"
@@ -33,38 +33,16 @@
 
 namespace rtpool::analysis {
 class Analyzer;
-class RtaContext;
 }
 
 namespace rtpool::exp {
 
-/// Legacy two-test selector, kept as a thin alias over the analyzer
-/// registry (analysis/analyzer.h) for CSV/report compatibility: every
-/// experiment entry point resolves it through `analyzers_for` and runs on
-/// the spine.
-enum class Scheduler { kGlobal, kPartitioned };
-
 /// The baseline/proposed analyzer pair a Figure-2-style experiment
-/// compares. Pointers into the registry (process lifetime, never null in a
-/// pair returned by `analyzers_for`/built from registry names).
+/// compares. Pointers into the registry (process lifetime).
 struct AnalyzerPair {
   const analysis::Analyzer* baseline = nullptr;
   const analysis::Analyzer* proposed = nullptr;
 };
-
-/// Registry resolution of the legacy enum:
-///   kGlobal      → { "global-baseline",      "global-limited" }
-///   kPartitioned → { "partitioned-baseline", "partitioned-proposed" }
-AnalyzerPair analyzers_for(Scheduler scheduler);
-
-/// Single source of truth for the scheduler-name ↔ enum mapping used by
-/// the CLI and the bench drivers. Throws std::invalid_argument listing the
-/// valid names on an unknown name.
-Scheduler parse_scheduler(std::string_view name);
-
-/// Canonical name of a scheduler ("global" / "partitioned"), as printed in
-/// CSV headers and perf reports.
-std::string_view scheduler_name(Scheduler scheduler);
 
 struct PointConfig {
   gen::TaskSetParams gen;      ///< Generator parameters (m, n, U, NFJ, window).
@@ -120,54 +98,30 @@ struct PointResult {
   friend bool operator==(const PointResult&, const PointResult&) = default;
 };
 
-/// Run both analyzers of the pair on one task set (baseline first). `ctx`
-/// (optional) must have been built for `ts`; the analyses of a trial then
-/// share one set of structural caches (priority orders, per-core
-/// workloads, blocking vectors) instead of each deriving its own. Verdicts
-/// are identical with or without a context.
-SetVerdict evaluate_task_set(const AnalyzerPair& pair, const model::TaskSet& ts,
-                             analysis::RtaContext* ctx = nullptr);
-
-/// Legacy-enum wrapper: `evaluate_task_set(analyzers_for(scheduler), …)`.
-SetVerdict evaluate_task_set(Scheduler scheduler, const model::TaskSet& ts,
-                             analysis::RtaContext* ctx = nullptr);
-
-/// Deterministic parallel experiment engine.
+/// Figure-2 point evaluation on a deterministic parallel runner.
 ///
-/// A thin experiment-flavored facade over exp::ShardedRunner (which owns
-/// the worker pool — the library's own exec::ThreadPool; the experiment
-/// harness dogfoods the runtime it analyzes). All entry points guarantee
-/// thread-count-invariant results: work units are seeded per attempt index
-/// via Rng::fork_with and folded in attempt order on the calling thread.
-/// The attempt loop, the parallel map, and the checkpointable seed-range
-/// sweep live in sharded_runner.h; this class keeps the historical API
-/// plus the point-evaluation logic of the Figure-2 experiments.
+/// Owns an exp::ShardedRunner (its worker pool is the library's own
+/// exec::ThreadPool: the harness dogfoods the runtime it analyzes). Work
+/// units are seeded per attempt index via Rng::fork_with and committed in
+/// attempt order on the calling thread, so results are thread-count
+/// invariant. Other sweeps run on `runner()` directly.
 class ExperimentEngine {
  public:
   /// `threads` <= 0 selects std::thread::hardware_concurrency(); 1 runs
-  /// everything inline on the calling thread (no pool).
-  ///
-  /// The worker count is additionally clamped to the hardware concurrency
-  /// (unless `clamp_to_hardware` is false): results are thread-count
-  /// invariant by construction, so oversubscribing a smaller machine would
-  /// only add scheduling jitter and pool overhead without changing a single
-  /// number. `threads()` still reports the requested value; `workers()` the
-  /// effective one. The opt-out exists for tests that must drive the pool
-  /// path regardless of the host's core count.
+  /// everything inline on the calling thread (no pool). The worker count
+  /// is clamped to the hardware unless `clamp_to_hardware` is false (see
+  /// ShardedRunner).
   explicit ExperimentEngine(int threads = 1, bool clamp_to_hardware = true)
       : runner_(threads, clamp_to_hardware) {}
 
   ExperimentEngine(const ExperimentEngine&) = delete;
   ExperimentEngine& operator=(const ExperimentEngine&) = delete;
 
-  int threads() const { return runner_.threads(); }
-
-  /// Effective parallelism: min(threads(), hardware_concurrency), >= 1.
+  /// Effective parallelism: min(requested threads, hardware), >= 1.
   int workers() const { return runner_.workers(); }
 
-  /// The underlying runner (pool + attempt loop + run_range); exposed so
-  /// heavier harnesses (the corpus) can share one pool with the
-  /// experiment entry points.
+  /// The underlying runner (pool + attempt loop + run_range), shared by
+  /// sweeps that are not baseline/proposed points.
   ShardedRunner& runner() { return runner_; }
 
   /// Evaluate one point: generate task sets and apply the pair's two
@@ -176,57 +130,8 @@ class ExperimentEngine {
   PointResult evaluate_point(const AnalyzerPair& pair, const PointConfig& config,
                              const util::Rng& rng);
 
-  /// Legacy-enum wrapper: `evaluate_point(analyzers_for(scheduler), …)`.
-  PointResult evaluate_point(Scheduler scheduler, const PointConfig& config,
-                             const util::Rng& rng);
-
-  /// Generic deterministic speculative attempt loop, the engine's core.
-  ///
-  /// Conceptually equivalent to the sequential loop
-  ///
-  ///   while committed < needed and attempts < max_attempts:
-  ///       k = attempts++
-  ///       r = eval(k, rng.fork_with(k))     // parallelized, speculative
-  ///       if commit(k, r): committed++      // strictly in attempt order
-  ///
-  /// `eval` must be pure w.r.t. everything except its own Rng (it runs on
-  /// pool workers, possibly out of order and speculatively past the final
-  /// commit); `commit` runs on the calling thread, in attempt order, and
-  /// returns whether the attempt filled one of the `needed` slots (a
-  /// filtered/failed attempt still consumes budget, as in the paper's
-  /// discard-and-regenerate setup).
-  template <typename Eval, typename Commit>
-  AttemptLoopStats run_attempts(std::size_t needed, std::size_t max_attempts,
-                                const util::Rng& rng, Eval&& eval,
-                                Commit&& commit) {
-    return runner_.run_attempts(needed, max_attempts, rng,
-                                std::forward<Eval>(eval),
-                                std::forward<Commit>(commit));
-  }
-
-  /// Deterministic parallel map over `count` independent trials: trial i is
-  /// evaluated with rng.fork_with(i) (on the pool) and folded with
-  /// `fold(i, result)` in trial order on the calling thread. Used by the
-  /// bench drivers whose per-trial work has no discard/regenerate step.
-  template <typename Eval, typename Fold>
-  void map_trials(std::size_t count, const util::Rng& rng, Eval&& eval,
-                  Fold&& fold) {
-    runner_.map_trials(count, rng, std::forward<Eval>(eval),
-                       std::forward<Fold>(fold));
-  }
-
  private:
   ShardedRunner runner_;
 };
-
-/// Sequential convenience wrapper (an inline ExperimentEngine(1) point).
-/// `rng` is used as the seed root of the per-attempt streams and is NOT
-/// advanced (per-attempt seeding is what makes results thread-count
-/// invariant — and is the one-time break from the pre-engine stream-draw
-/// numbers; see EXPERIMENTS.md).
-PointResult evaluate_point(const AnalyzerPair& pair, const PointConfig& config,
-                           util::Rng& rng);
-PointResult evaluate_point(Scheduler scheduler, const PointConfig& config,
-                           util::Rng& rng);
 
 }  // namespace rtpool::exp

@@ -1,12 +1,11 @@
 // Deterministic parallel attempt runner + checkpointable sharded sweeps.
 //
-// ShardedRunner is the machinery that used to live inside
-// ExperimentEngine: a worker pool (the library's own exec::ThreadPool —
-// the harness dogfoods the runtime it analyzes), a speculative
-// attempt-ordered commit loop (`run_attempts`), and a deterministic
-// parallel map (`map_trials`). ExperimentEngine still exposes the same
-// API and now delegates here; the corpus runner (src/corpus) rides the
-// same spine directly.
+// ShardedRunner is the one parallel driver: a worker pool (the library's
+// own exec::ThreadPool — the harness dogfoods the runtime it analyzes), a
+// speculative attempt-ordered commit loop (`run_attempts`), and a
+// deterministic parallel map (`map_trials`). ExperimentEngine's Figure-2
+// points, the figure sweeps (bench/sweep.cpp) and the corpus runner
+// (src/corpus) all run on it.
 //
 // On top of those, `run_range` adds the corpus-scale primitive: a sweep
 // over an *absolute* seed range [begin, end) split into contiguous
@@ -108,16 +107,20 @@ class ShardedRunner {
   int threads() const { return threads_; }
   int workers() const { return workers_; }
 
-  /// Generic deterministic speculative attempt loop (see ExperimentEngine's
-  /// historical doc): conceptually
+  /// Generic deterministic speculative attempt loop: conceptually
   ///
   ///   while committed < needed and attempts < max_attempts:
   ///       k = attempts++
   ///       r = eval(k, rng.fork_with(k))     // parallelized, speculative
   ///       if commit(k, r): committed++      // strictly in attempt order
   ///
-  /// `eval` must be pure w.r.t. everything except its own Rng; `commit`
-  /// runs on the calling thread, in attempt order.
+  /// `eval` must be pure w.r.t. everything except its own Rng (it runs on
+  /// pool workers, possibly out of order and speculatively past the final
+  /// commit); `commit` runs on the calling thread, in attempt order, and
+  /// returns whether the attempt filled one of the `needed` slots (a
+  /// filtered/failed attempt still consumes budget, as in the paper's
+  /// discard-and-regenerate setup). An exception from `eval` is rethrown
+  /// at its attempt's turn, after every earlier commit.
   template <typename Eval, typename Commit>
   AttemptLoopStats run_attempts(std::size_t needed, std::size_t max_attempts,
                                 const util::Rng& rng, Eval&& eval,

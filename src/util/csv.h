@@ -21,10 +21,17 @@ class CsvWriter {
   /// Convenience: build a row from heterogeneous values via operator<<.
   template <typename... Ts>
   void row_values(const Ts&... values) {
-    std::vector<std::string> cells;
-    cells.reserve(sizeof...(values));
-    (cells.push_back(to_cell(values)), ...);
-    row(cells);
+    row(cells(values...));
+  }
+
+  /// The cells `row_values(values...)` writes, for callers that also print
+  /// them elsewhere.
+  template <typename... Ts>
+  static std::vector<std::string> cells(const Ts&... values) {
+    std::vector<std::string> out;
+    out.reserve(sizeof...(values));
+    (out.push_back(to_cell(values)), ...);
+    return out;
   }
 
   const std::string& path() const { return path_; }

@@ -1,7 +1,7 @@
 // Tests for the analysis spine (analysis/analyzer.h): registry behaviour,
-// golden bit-equivalence against the family kernels, the exp-layer enum ↔
-// pair aliasing, and degenerate-input robustness of every registered
-// analyzer.
+// golden bit-equivalence of each registered name against its family
+// kernel configuration, and degenerate-input robustness of every
+// registered analyzer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "analysis/analyzer.h"
 #include "analysis/rta_context.h"
 #include "analysis/sensitivity.h"
-#include "exp/schedulability.h"
 #include "gen/taskset_generator.h"
 #include "model/builder.h"
 
@@ -101,30 +100,6 @@ TEST(AnalyzerRegistryTest, Capabilities) {
   EXPECT_FALSE(fed.reports_response_times);
 }
 
-TEST(AnalyzerRegistryTest, LegacyOptionResolvers) {
-  analysis::GlobalRtaOptions g;
-  EXPECT_EQ(analysis::analyzer_for(g).name(), "global-baseline");
-  g.bound = analysis::InterferenceBound::kMelaniCarryIn;
-  EXPECT_EQ(analysis::analyzer_for(g).name(), "global-baseline-carryin");
-  g.limited_concurrency = true;
-  EXPECT_EQ(analysis::analyzer_for(g).name(), "global-limited-carryin");
-  g.bound = analysis::InterferenceBound::kPaperCeil;
-  g.concurrency = analysis::ConcurrencyBound::kMaxAntichain;
-  EXPECT_EQ(analysis::analyzer_for(g).name(), "global-limited-antichain");
-
-  analysis::PartitionedRtaOptions p;
-  EXPECT_EQ(analysis::analyzer_for(p).name(), "partitioned-proposed");
-  p.bound = analysis::PartitionedBound::kHolisticPath;
-  EXPECT_EQ(analysis::analyzer_for(p).name(), "partitioned-proposed-holistic");
-  p.require_deadlock_free = false;
-  EXPECT_EQ(analysis::analyzer_for(p).name(), "partitioned-baseline-holistic");
-
-  analysis::FederatedOptions f;
-  EXPECT_EQ(analysis::analyzer_for(f).name(), "federated");
-  f.limited_concurrency = true;
-  EXPECT_EQ(analysis::analyzer_for(f).name(), "federated-limited");
-}
-
 namespace {
 class StubAnalyzer final : public Analyzer {
  public:
@@ -161,22 +136,27 @@ TEST(AnalyzerRegistryTest, CustomRegistration) {
 
 TEST(AnalyzerGoldenTest, GlobalFamilyBitIdentical) {
   struct Config {
+    const char* name;
     bool limited;
     analysis::ConcurrencyBound conc;
     analysis::InterferenceBound bound;
   };
   const Config configs[] = {
-      {false, analysis::ConcurrencyBound::kMaxAffectingForks,
+      {"global-baseline", false, analysis::ConcurrencyBound::kMaxAffectingForks,
        analysis::InterferenceBound::kPaperCeil},
-      {false, analysis::ConcurrencyBound::kMaxAffectingForks,
+      {"global-baseline-carryin", false,
+       analysis::ConcurrencyBound::kMaxAffectingForks,
        analysis::InterferenceBound::kMelaniCarryIn},
-      {true, analysis::ConcurrencyBound::kMaxAffectingForks,
+      {"global-limited", true, analysis::ConcurrencyBound::kMaxAffectingForks,
        analysis::InterferenceBound::kPaperCeil},
-      {true, analysis::ConcurrencyBound::kMaxAffectingForks,
+      {"global-limited-carryin", true,
+       analysis::ConcurrencyBound::kMaxAffectingForks,
        analysis::InterferenceBound::kMelaniCarryIn},
-      {true, analysis::ConcurrencyBound::kMaxAntichain,
+      {"global-limited-antichain", true,
+       analysis::ConcurrencyBound::kMaxAntichain,
        analysis::InterferenceBound::kPaperCeil},
-      {true, analysis::ConcurrencyBound::kMaxAntichain,
+      {"global-limited-antichain-carryin", true,
+       analysis::ConcurrencyBound::kMaxAntichain,
        analysis::InterferenceBound::kMelaniCarryIn},
   };
   for (std::uint64_t seed : {11u, 12u, 13u}) {
@@ -188,7 +168,7 @@ TEST(AnalyzerGoldenTest, GlobalFamilyBitIdentical) {
         opts.concurrency = c.conc;
         opts.bound = c.bound;
         const analysis::GlobalRtaResult legacy = analysis::analyze_global(ts, opts);
-        const Analyzer& a = analysis::analyzer_for(opts);
+        const Analyzer& a = analysis::get_analyzer(c.name);
         const Report rep = a.analyze(ts);
 
         EXPECT_EQ(rep.analyzer, a.name());
@@ -273,7 +253,9 @@ TEST(AnalyzerGoldenTest, FederatedFamilyBitIdentical) {
       analysis::FederatedOptions opts;
       opts.limited_concurrency = limited;
       const analysis::FederatedResult legacy = analysis::analyze_federated(ts, opts);
-      const Report rep = analysis::analyzer_for(opts).analyze(ts);
+      const Report rep =
+          analysis::get_analyzer(limited ? "federated-limited" : "federated")
+              .analyze(ts);
 
       EXPECT_EQ(rep.schedulable, legacy.schedulable);
       EXPECT_EQ(rep.dedicated_cores, legacy.dedicated_cores);
@@ -324,102 +306,7 @@ TEST(AnalyzerReportTest, LimitingTaskSemantics) {
   EXPECT_NEAR(ok.limiting_ratio, 8.0 / 60.0, 1e-9);
 }
 
-// ---- exp layer: enum alias and pair entry points ----
-
-TEST(SchedulerAliasTest, ParseAndName) {
-  EXPECT_EQ(exp::parse_scheduler("global"), exp::Scheduler::kGlobal);
-  EXPECT_EQ(exp::parse_scheduler("partitioned"), exp::Scheduler::kPartitioned);
-  EXPECT_EQ(exp::scheduler_name(exp::Scheduler::kGlobal), "global");
-  EXPECT_EQ(exp::scheduler_name(exp::Scheduler::kPartitioned), "partitioned");
-  try {
-    exp::parse_scheduler("fair");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("global"), std::string::npos);
-    EXPECT_NE(what.find("partitioned"), std::string::npos);
-  }
-}
-
-TEST(SchedulerAliasTest, AnalyzersForPairs) {
-  const exp::AnalyzerPair g = exp::analyzers_for(exp::Scheduler::kGlobal);
-  ASSERT_NE(g.baseline, nullptr);
-  ASSERT_NE(g.proposed, nullptr);
-  EXPECT_EQ(g.baseline->name(), "global-baseline");
-  EXPECT_EQ(g.proposed->name(), "global-limited");
-
-  const exp::AnalyzerPair p = exp::analyzers_for(exp::Scheduler::kPartitioned);
-  EXPECT_EQ(p.baseline->name(), "partitioned-baseline");
-  EXPECT_EQ(p.proposed->name(), "partitioned-proposed");
-}
-
-TEST(SchedulerAliasTest, PairMatchesEnumVerdicts) {
-  for (std::uint64_t seed : {51u, 52u}) {
-    for (const auto scheduler :
-         {exp::Scheduler::kGlobal, exp::Scheduler::kPartitioned}) {
-      const TaskSet ts = fig2_set(
-          seed, scheduler == exp::Scheduler::kGlobal ? 0.3 : 0.175);
-      const exp::SetVerdict via_enum = exp::evaluate_task_set(scheduler, ts);
-      const exp::SetVerdict via_pair =
-          exp::evaluate_task_set(exp::analyzers_for(scheduler), ts);
-      EXPECT_EQ(via_enum, via_pair);
-    }
-  }
-}
-
-TEST(SchedulerAliasTest, PairMatchesEnumPointResult) {
-  exp::PointConfig config;
-  config.gen.cores = 8;
-  config.gen.task_count = 4;
-  config.gen.total_utilization = 0.3 * 8.0;
-  config.trials = 20;
-  config.max_attempts = 2000;
-
-  exp::ExperimentEngine engine(1);
-  const util::Rng rng(97);
-  for (const auto scheduler :
-       {exp::Scheduler::kGlobal, exp::Scheduler::kPartitioned}) {
-    const exp::PointResult via_enum =
-        engine.evaluate_point(scheduler, config, rng);
-    const exp::PointResult via_pair =
-        engine.evaluate_point(exp::analyzers_for(scheduler), config, rng);
-    EXPECT_EQ(via_enum, via_pair);
-    EXPECT_EQ(via_enum.accepted, 20u);
-  }
-}
-
-// ---- sensitivity: generic driver vs legacy per-family wrappers ----
-
-TEST(AnalyzerSensitivityTest, GenericMatchesLegacyWrappers) {
-  const TaskSet ts = fig2_set(61, 0.3);
-
-  analysis::GlobalRtaOptions gopts;
-  gopts.limited_concurrency = true;
-  const auto legacy_g = analysis::critical_scaling_factor_global(ts, gopts);
-  const auto generic_g =
-      analysis::critical_scaling_factor(ts, analysis::analyzer_for(gopts));
-  EXPECT_EQ(generic_g.factor, legacy_g.factor);
-  EXPECT_EQ(generic_g.probes, legacy_g.probes);
-
-  const auto wf = analysis::partition_worst_fit(ts);
-  ASSERT_TRUE(wf.success());
-  analysis::PartitionedRtaOptions popts;
-  popts.require_deadlock_free = false;
-  const auto legacy_p =
-      analysis::critical_scaling_factor_partitioned(ts, *wf.partition, popts);
-  AnalyzerOptions base;
-  base.partition = &*wf.partition;
-  const auto generic_p = analysis::critical_scaling_factor(
-      ts, analysis::get_analyzer("partitioned-baseline"), base);
-  EXPECT_EQ(generic_p.factor, legacy_p.factor);
-  EXPECT_EQ(generic_p.probes, legacy_p.probes);
-
-  analysis::FederatedOptions fopts;
-  const auto legacy_f = analysis::critical_scaling_factor_federated(ts, fopts);
-  const auto generic_f =
-      analysis::critical_scaling_factor(ts, analysis::analyzer_for(fopts));
-  EXPECT_EQ(generic_f.factor, legacy_f.factor);
-}
+// ---- sensitivity ----
 
 TEST(AnalyzerSensitivityTest, PartitionOnceForUnpartitionableSet) {
   // No feasible Algorithm-1 partition: the search reports factor 0 with no

@@ -2,14 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
+#include "analysis/analyzer.h"
 #include "analysis/partition.h"
 #include "exp/necessity.h"
-#include "exp/report.h"
 #include "exp/report_json.h"
 #include "exp/schedulability.h"
 #include "model/builder.h"
@@ -44,24 +43,46 @@ TaskSet limited_only_set() {
   return ts;
 }
 
+/// The paper's two baseline/proposed pairs.
+AnalyzerPair global_pair() {
+  return {&analysis::get_analyzer("global-baseline"),
+          &analysis::get_analyzer("global-limited")};
+}
+AnalyzerPair partitioned_pair() {
+  return {&analysis::get_analyzer("partitioned-baseline"),
+          &analysis::get_analyzer("partitioned-proposed")};
+}
+
+/// Both verdicts of a pair on one set, as an experiment point records them.
+SetVerdict verdicts(const AnalyzerPair& pair, const TaskSet& ts) {
+  return {pair.baseline->analyze(ts).schedulable,
+          pair.proposed->analyze(ts).schedulable};
+}
+
+/// One point on the inline (single-thread) engine.
+PointResult evaluate_point(const AnalyzerPair& pair, const PointConfig& config,
+                           const util::Rng& rng) {
+  ExperimentEngine engine(1);
+  return engine.evaluate_point(pair, config, rng);
+}
+
 TEST(EvaluateTaskSetTest, GlobalVerdicts) {
-  const auto easy = evaluate_task_set(Scheduler::kGlobal, easy_set());
+  const auto easy = verdicts(global_pair(), easy_set());
   EXPECT_TRUE(easy.baseline);
   EXPECT_TRUE(easy.proposed);
 
-  const auto limited = evaluate_task_set(Scheduler::kGlobal, limited_only_set());
+  const auto limited = verdicts(global_pair(), limited_only_set());
   EXPECT_TRUE(limited.baseline);   // [14] ignores the blocked thread
   EXPECT_FALSE(limited.proposed);  // Section 4.1 rejects (l̄ = 0)
 }
 
 TEST(EvaluateTaskSetTest, PartitionedVerdicts) {
-  const auto easy = evaluate_task_set(Scheduler::kPartitioned, easy_set());
+  const auto easy = verdicts(partitioned_pair(), easy_set());
   EXPECT_TRUE(easy.baseline);
   EXPECT_TRUE(easy.proposed);
 
   // With m = 1 Algorithm 1 cannot segregate the BF from its children.
-  const auto limited =
-      evaluate_task_set(Scheduler::kPartitioned, limited_only_set());
+  const auto limited = verdicts(partitioned_pair(), limited_only_set());
   EXPECT_TRUE(limited.baseline);
   EXPECT_FALSE(limited.proposed);
 }
@@ -73,7 +94,7 @@ TEST(EvaluatePointTest, CountsAreConsistent) {
   config.gen.total_utilization = 2.0;
   config.trials = 25;
   util::Rng rng(1);
-  const PointResult r = evaluate_point(Scheduler::kGlobal, config, rng);
+  const PointResult r = evaluate_point(global_pair(), config, rng);
   EXPECT_EQ(r.accepted, 25u);
   EXPECT_LE(r.baseline_schedulable, r.accepted);
   EXPECT_LE(r.proposed_schedulable, r.accepted);
@@ -91,7 +112,7 @@ TEST(EvaluatePointTest, FilterMakesBaselineExact) {
   config.filter_baseline = true;
   config.trials = 20;
   util::Rng rng(2);
-  const PointResult r = evaluate_point(Scheduler::kGlobal, config, rng);
+  const PointResult r = evaluate_point(global_pair(), config, rng);
   EXPECT_EQ(r.accepted, 20u);
   EXPECT_EQ(r.baseline_schedulable, 20u);  // by construction of the filter
   EXPECT_DOUBLE_EQ(r.baseline_ratio(), 1.0);
@@ -106,7 +127,7 @@ TEST(EvaluatePointTest, AttemptBudgetRespected) {
   config.trials = 1000;
   config.max_attempts = 50;
   util::Rng rng(3);
-  const PointResult r = evaluate_point(Scheduler::kGlobal, config, rng);
+  const PointResult r = evaluate_point(global_pair(), config, rng);
   EXPECT_TRUE(r.attempts_exhausted);
   EXPECT_LE(r.accepted + r.discarded + r.generation_errors, 50u);
 }
@@ -134,8 +155,8 @@ TEST(ExperimentEngineTest, ResultsAreThreadCountInvariant) {
 
     ExperimentEngine sequential(1);
     ExperimentEngine parallel4(4, /*clamp_to_hardware=*/false);
-    const PointResult a = sequential.evaluate_point(Scheduler::kGlobal, config, rng);
-    const PointResult b = parallel4.evaluate_point(Scheduler::kGlobal, config, rng);
+    const PointResult a = sequential.evaluate_point(global_pair(), config, rng);
+    const PointResult b = parallel4.evaluate_point(global_pair(), config, rng);
     EXPECT_EQ(a.accepted, 30u);
     EXPECT_TRUE(a == b) << "filter=" << filter;
     ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
@@ -144,7 +165,7 @@ TEST(ExperimentEngineTest, ResultsAreThreadCountInvariant) {
 
     // The pool is reused across points inside one engine: a second identical
     // point gives the same result again (per-attempt seeding, no state).
-    const PointResult c = parallel4.evaluate_point(Scheduler::kGlobal, config, rng);
+    const PointResult c = parallel4.evaluate_point(global_pair(), config, rng);
     EXPECT_TRUE(a == c);
   }
 }
@@ -159,22 +180,9 @@ TEST(ExperimentEngineTest, PartitionedArmIsThreadCountInvariant) {
   ExperimentEngine sequential(1);
   ExperimentEngine parallel3(3, /*clamp_to_hardware=*/false);
   const PointResult a =
-      sequential.evaluate_point(Scheduler::kPartitioned, config, rng);
+      sequential.evaluate_point(partitioned_pair(), config, rng);
   const PointResult b =
-      parallel3.evaluate_point(Scheduler::kPartitioned, config, rng);
-  EXPECT_TRUE(a == b);
-}
-
-TEST(ExperimentEngineTest, FreeFunctionMatchesEngine) {
-  PointConfig config;
-  config.gen.cores = 8;
-  config.gen.task_count = 3;
-  config.gen.total_utilization = 2.0;
-  config.trials = 10;
-  util::Rng rng(13);
-  const PointResult a = evaluate_point(Scheduler::kGlobal, config, rng);
-  ExperimentEngine engine(2, /*clamp_to_hardware=*/false);
-  const PointResult b = engine.evaluate_point(Scheduler::kGlobal, config, rng);
+      parallel3.evaluate_point(partitioned_pair(), config, rng);
   EXPECT_TRUE(a == b);
 }
 
@@ -193,8 +201,8 @@ TEST(ExperimentEngineTest, ParallelAttemptAccountingMatchesSequential) {
 
   ExperimentEngine sequential(1);
   ExperimentEngine parallel4(4, /*clamp_to_hardware=*/false);
-  const PointResult a = sequential.evaluate_point(Scheduler::kGlobal, config, rng);
-  const PointResult b = parallel4.evaluate_point(Scheduler::kGlobal, config, rng);
+  const PointResult a = sequential.evaluate_point(global_pair(), config, rng);
+  const PointResult b = parallel4.evaluate_point(global_pair(), config, rng);
   EXPECT_TRUE(a.attempts_exhausted);
   EXPECT_EQ(a.accepted + a.discarded + a.generation_errors, 50u);
   EXPECT_TRUE(a == b);
@@ -217,17 +225,19 @@ TEST(ExperimentEngineTest, GenerationErrorsCountedUnderParallelPath) {
 
   ExperimentEngine sequential(1);
   ExperimentEngine parallel4(4, /*clamp_to_hardware=*/false);
-  const PointResult a = sequential.evaluate_point(Scheduler::kGlobal, config, rng);
-  const PointResult b = parallel4.evaluate_point(Scheduler::kGlobal, config, rng);
+  const PointResult a = sequential.evaluate_point(global_pair(), config, rng);
+  const PointResult b = parallel4.evaluate_point(global_pair(), config, rng);
   EXPECT_TRUE(a == b);
   EXPECT_EQ(a.generation_errors, b.generation_errors);
 }
 
-TEST(ExperimentEngineTest, MapTrialsFoldsInTrialOrder) {
-  ExperimentEngine engine(4, /*clamp_to_hardware=*/false);
+// ---------- ShardedRunner: the attempt loop and the worker clamp ----------
+
+TEST(ShardedRunnerTest, MapTrialsFoldsInTrialOrder) {
+  ShardedRunner runner(4, /*clamp_to_hardware=*/false);
   std::vector<std::size_t> order;
   std::vector<double> parallel_draws(20, 0.0);
-  engine.map_trials(
+  runner.map_trials(
       20, util::Rng(5),
       [](std::size_t /*i*/, util::Rng& r) { return r.uniform(0.0, 1.0); },
       [&](std::size_t i, double v) {
@@ -237,7 +247,7 @@ TEST(ExperimentEngineTest, MapTrialsFoldsInTrialOrder) {
   ASSERT_EQ(order.size(), 20u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 
-  ExperimentEngine sequential(1);
+  ShardedRunner sequential(1);
   std::vector<double> sequential_draws(20, 0.0);
   sequential.map_trials(
       20, util::Rng(5),
@@ -246,15 +256,15 @@ TEST(ExperimentEngineTest, MapTrialsFoldsInTrialOrder) {
   EXPECT_EQ(parallel_draws, sequential_draws);
 }
 
-TEST(ExperimentEngineTest, EvalExceptionRethrownAtItsAttemptIndex) {
+TEST(ShardedRunnerTest, EvalExceptionRethrownAtItsAttemptIndex) {
   // A worker-side exception surfaces on the calling thread, after the
   // commits of every earlier attempt and none of the later ones — the same
   // observable order as the sequential loop.
   for (const int threads : {1, 4}) {
-    ExperimentEngine engine(threads, /*clamp_to_hardware=*/false);
+    ShardedRunner runner(threads, /*clamp_to_hardware=*/false);
     std::vector<std::size_t> folded;
     EXPECT_THROW(
-        engine.map_trials(
+        runner.map_trials(
             8, util::Rng(1),
             [](std::size_t i, util::Rng&) -> int {
               if (i == 3) throw std::runtime_error("attempt 3 failed");
@@ -266,12 +276,12 @@ TEST(ExperimentEngineTest, EvalExceptionRethrownAtItsAttemptIndex) {
   }
 }
 
-TEST(ExperimentEngineTest, RunAttemptsStopsAtNeededCommits) {
+TEST(ShardedRunnerTest, RunAttemptsStopsAtNeededCommits) {
   // Commit every other attempt: 10 commits need exactly 19 attempts, and
   // the attempt-ordered stop discards any over-speculated evaluations.
-  ExperimentEngine engine(4, /*clamp_to_hardware=*/false);
+  ShardedRunner runner(4, /*clamp_to_hardware=*/false);
   std::vector<std::size_t> committed;
-  const AttemptLoopStats stats = engine.run_attempts(
+  const AttemptLoopStats stats = runner.run_attempts(
       10, 1000, util::Rng(2),
       [](std::size_t i, util::Rng&) { return i; },
       [&](std::size_t i, std::size_t) {
@@ -286,28 +296,31 @@ TEST(ExperimentEngineTest, RunAttemptsStopsAtNeededCommits) {
     EXPECT_EQ(committed[i], 2 * i);
 }
 
-TEST(ExperimentEngineTest, WorkerCountClampsToHardware) {
+TEST(ShardedRunnerTest, WorkerCountClampsToHardware) {
   const unsigned hw = std::thread::hardware_concurrency();
   const int hw_threads = hw == 0 ? 1 : static_cast<int>(hw);
 
-  ExperimentEngine clamped(1000);
+  ShardedRunner clamped(1000);
   EXPECT_EQ(clamped.threads(), 1000);          // requested value is reported
   EXPECT_EQ(clamped.workers(), std::min(1000, hw_threads));
 
-  ExperimentEngine unclamped(3, /*clamp_to_hardware=*/false);
+  ShardedRunner unclamped(3, /*clamp_to_hardware=*/false);
   EXPECT_EQ(unclamped.threads(), 3);
   EXPECT_EQ(unclamped.workers(), 3);
 
   // Clamped and unclamped engines agree bit-for-bit (thread-count
   // invariance covers the effective worker count too).
+  ExperimentEngine clamped_engine(1000);
+  ExperimentEngine unclamped_engine(3, /*clamp_to_hardware=*/false);
+  EXPECT_EQ(clamped_engine.workers(), clamped.workers());
   PointConfig config;
   config.gen.cores = 4;
   config.gen.task_count = 2;
   config.gen.total_utilization = 1.0;
   config.trials = 10;
   const util::Rng rng(23);
-  const PointResult a = clamped.evaluate_point(Scheduler::kGlobal, config, rng);
-  const PointResult b = unclamped.evaluate_point(Scheduler::kGlobal, config, rng);
+  const PointResult a = clamped_engine.evaluate_point(global_pair(), config, rng);
+  const PointResult b = unclamped_engine.evaluate_point(global_pair(), config, rng);
   EXPECT_TRUE(a == b);
 }
 
@@ -405,33 +418,6 @@ TEST(ReportJsonTest, ReportsAlgorithm1Failure) {
   const std::string out = os.str();
   EXPECT_NE(out.find("\"partition_found\":false"), std::string::npos);
   EXPECT_NE(out.find("\"failure\":"), std::string::npos);
-}
-
-TEST(ReportTest, CsvRoundTrip) {
-  std::vector<SweepRow> rows(2);
-  rows[0].x = 1;
-  rows[0].global.accepted = 10;
-  rows[0].global.baseline_schedulable = 10;
-  rows[0].global.proposed_schedulable = 5;
-  rows[1].x = 2;
-  const auto path =
-      std::filesystem::temp_directory_path() / "rtpool_sweep_test.csv";
-  write_sweep_csv(path.string(), "x", rows);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line,
-            "x,global_baseline,global_proposed,partitioned_baseline,"
-            "partitioned_proposed,global_accepted,partitioned_accepted,"
-            "global_discarded,partitioned_discarded");
-  std::getline(in, line);
-  EXPECT_EQ(line.substr(0, 8), "1,1,0.5,");
-  std::filesystem::remove(path);
-
-  // Empty path: silently skipped.
-  write_sweep_csv("", "x", rows);
-  // Console printing must not crash.
-  print_sweep("test sweep", "x", rows);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "analysis/analyzer.h"
 #include "analysis/deadlock.h"
 #include "analysis/global_rta.h"
 #include "analysis/partition.h"
@@ -11,7 +12,6 @@
 #include "exec/graph_executor.h"
 #include "exec/thread_pool.h"
 #include "exp/report_json.h"
-#include "exp/schedulability.h"
 #include "gen/taskset_generator.h"
 #include "model/io.h"
 #include "sim/engine.h"
@@ -34,11 +34,11 @@ TEST(PipelineTest, SerializationPreservesVerdicts) {
   model::write_task_set(ss, original);
   const model::TaskSet loaded = model::read_task_set(ss);
 
-  for (auto scheduler : {exp::Scheduler::kGlobal, exp::Scheduler::kPartitioned}) {
-    const auto a = exp::evaluate_task_set(scheduler, original);
-    const auto b = exp::evaluate_task_set(scheduler, loaded);
-    EXPECT_EQ(a.baseline, b.baseline);
-    EXPECT_EQ(a.proposed, b.proposed);
+  for (const char* name : {"global-baseline", "global-limited",
+                           "partitioned-baseline", "partitioned-proposed"}) {
+    const analysis::Analyzer& a = analysis::get_analyzer(name);
+    EXPECT_EQ(a.analyze(original).schedulable, a.analyze(loaded).schedulable)
+        << name;
   }
 
   analysis::GlobalRtaOptions limited;

@@ -8,17 +8,19 @@
 //    full WCET-scale sweeps (the tentpole claim: warm starts only skip the
 //    monotone climb, they never change the landing point);
 //  * analyses with and without a caller-provided context agree exactly;
-//  * the fast sensitivity searches agree with the legacy generic search.
+//  * the analyzer-driven sensitivity search agrees with the predicate
+//    (scaled-copy) reference search.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "analysis/analyzer.h"
 #include "analysis/partition.h"
 #include "analysis/partitioned_rta.h"
 #include "analysis/rta_context.h"
 #include "analysis/sensitivity.h"
-#include "exp/schedulability.h"
 #include "gen/taskset_generator.h"
 #include "util/rng.h"
 
@@ -307,7 +309,8 @@ TEST(RtaContextTest, SensitivityFastMatchesLegacyGlobal) {
           ts, [&](const TaskSet& set) {
             return analyze_global(set, opts).schedulable;
           });
-      const SensitivityResult fast = critical_scaling_factor_global(ts, opts);
+      const SensitivityResult fast = critical_scaling_factor(
+          ts, get_analyzer(limited ? "global-limited" : "global-baseline"));
       // Legacy materializes scaled sets (Σ s·C), fast scales on the fly
       // (s·Σ C): verdicts can differ within float noise of the threshold,
       // so factors agree only up to a few tolerances.
@@ -329,8 +332,10 @@ TEST(RtaContextTest, SensitivityFastMatchesLegacyPartitioned) {
         ts, [&](const TaskSet& set) {
           return analyze_partitioned(set, *wf.partition, opts).schedulable;
         });
-    const SensitivityResult fast =
-        critical_scaling_factor_partitioned(ts, *wf.partition, opts);
+    AnalyzerOptions base;
+    base.partition = &*wf.partition;
+    const SensitivityResult fast = critical_scaling_factor(
+        ts, get_analyzer("partitioned-baseline"), base);
     EXPECT_NEAR(fast.factor, legacy, 3.0 * SensitivityOptions{}.tolerance)
         << "seed " << seed;
   }
@@ -342,27 +347,25 @@ TEST(RtaContextTest, SensitivityWarmIdenticalToColdSearch) {
   // the search level).
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const TaskSet ts = random_set(seed);
-    GlobalRtaOptions opts;
-    opts.limited_concurrency = true;
     SensitivityOptions cold_opts;
     cold_opts.warm_start = false;
     cold_opts.critical_path_cutoff = false;
     SensitivityOptions warm_opts;  // defaults: warm + cutoff on
-    const SensitivityResult cold =
-        critical_scaling_factor_global(ts, opts, cold_opts);
-    const SensitivityResult warm =
-        critical_scaling_factor_global(ts, opts, warm_opts);
+    const Analyzer& limited = get_analyzer("global-limited");
+    const SensitivityResult cold = critical_scaling_factor(ts, limited, {}, cold_opts);
+    const SensitivityResult warm = critical_scaling_factor(ts, limited, {}, warm_opts);
     EXPECT_EQ(warm.factor, cold.factor) << "seed " << seed;
     EXPECT_EQ(warm.probes, cold.probes) << "seed " << seed;
 
     const auto wf = partition_worst_fit(ts);
     if (!wf.success()) continue;
-    PartitionedRtaOptions popts;
-    popts.require_deadlock_free = false;
+    const Analyzer& baseline = get_analyzer("partitioned-baseline");
+    AnalyzerOptions base;
+    base.partition = &*wf.partition;
     const SensitivityResult pcold =
-        critical_scaling_factor_partitioned(ts, *wf.partition, popts, cold_opts);
+        critical_scaling_factor(ts, baseline, base, cold_opts);
     const SensitivityResult pwarm =
-        critical_scaling_factor_partitioned(ts, *wf.partition, popts, warm_opts);
+        critical_scaling_factor(ts, baseline, base, warm_opts);
     EXPECT_EQ(pwarm.factor, pcold.factor) << "seed " << seed;
     EXPECT_EQ(pwarm.probes, pcold.probes) << "seed " << seed;
   }
@@ -377,22 +380,27 @@ TEST(RtaContextTest, SensitivityFederatedFastRuns) {
         ts, [&](const TaskSet& set) {
           return analyze_federated(set, fopts).schedulable;
         });
-    const SensitivityResult fast = critical_scaling_factor_federated(ts, fopts);
+    const SensitivityResult fast =
+        critical_scaling_factor(ts, get_analyzer("federated-limited"));
     EXPECT_NEAR(fast.factor, legacy, 3.0 * SensitivityOptions{}.tolerance)
         << "seed " << seed;
   }
 }
 
 TEST(RtaContextTest, EvaluateTaskSetContextInvariant) {
-  // The experiment engine's per-trial context must not change verdicts.
+  // An experiment point runs its baseline and proposed analyzer on one
+  // shared per-trial context; sharing must not change verdicts.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const TaskSet ts = random_set(seed);
-    for (exp::Scheduler sched :
-         {exp::Scheduler::kGlobal, exp::Scheduler::kPartitioned}) {
-      const exp::SetVerdict plain = exp::evaluate_task_set(sched, ts);
+    for (const auto& [baseline, proposed] :
+         {std::pair{"global-baseline", "global-limited"},
+          std::pair{"partitioned-baseline", "partitioned-proposed"}}) {
       RtaContext ctx(ts);
-      const exp::SetVerdict cached = exp::evaluate_task_set(sched, ts, &ctx);
-      EXPECT_EQ(plain, cached) << "seed " << seed;
+      for (const char* name : {baseline, proposed}) {
+        const Analyzer& a = get_analyzer(name);
+        EXPECT_EQ(a.analyze(ts).schedulable, a.analyze(ts, ctx).schedulable)
+            << "seed " << seed << " " << name;
+      }
     }
   }
 }

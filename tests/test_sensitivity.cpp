@@ -98,7 +98,7 @@ TEST(CriticalScalingTest, FastPathClosedFormSingleTask) {
   SensitivityOptions options;
   options.hi = 20.0;
   const SensitivityResult r =
-      critical_scaling_factor_global(ts, GlobalRtaOptions{}, options);
+      critical_scaling_factor(ts, get_analyzer("global-baseline"), {}, options);
   EXPECT_NEAR(r.factor, 12.5, 0.01);
   EXPECT_GT(r.probes, 0);
 }
@@ -109,7 +109,7 @@ TEST(CriticalScalingTest, FastPathBracketClamping) {
   SensitivityOptions options;
   options.hi = 4.0;  // true s* = 12.5 is beyond the bracket
   EXPECT_DOUBLE_EQ(
-      critical_scaling_factor_global(ts, GlobalRtaOptions{}, options).factor,
+      critical_scaling_factor(ts, get_analyzer("global-baseline"), {}, options).factor,
       4.0);
 }
 
@@ -119,9 +119,8 @@ TEST(CriticalScalingTest, FastPathInfeasibleReturnsZero) {
   b.add_blocking_fork_join(1.0, 1.0, {1.0});
   b.period(100.0);
   ts.add(b.build());
-  GlobalRtaOptions opts;
-  opts.limited_concurrency = true;
-  EXPECT_DOUBLE_EQ(critical_scaling_factor_global(ts, opts).factor, 0.0);
+  EXPECT_DOUBLE_EQ(
+      critical_scaling_factor(ts, get_analyzer("global-limited")).factor, 0.0);
 }
 
 TEST(CriticalScalingTest, FastPathBadBracketThrows) {
@@ -130,7 +129,7 @@ TEST(CriticalScalingTest, FastPathBadBracketThrows) {
   SensitivityOptions bad;
   bad.lo = 2.0;
   bad.hi = 1.0;
-  EXPECT_THROW(critical_scaling_factor_global(ts, GlobalRtaOptions{}, bad),
+  EXPECT_THROW(critical_scaling_factor(ts, get_analyzer("global-baseline"), {}, bad),
                std::invalid_argument);
 }
 
@@ -144,9 +143,9 @@ TEST(CriticalScalingTest, CutoffProbesAreVerdictSafe) {
   SensitivityOptions without_cutoff = with_cutoff;
   without_cutoff.critical_path_cutoff = false;
   const SensitivityResult a =
-      critical_scaling_factor_global(ts, GlobalRtaOptions{}, with_cutoff);
+      critical_scaling_factor(ts, get_analyzer("global-baseline"), {}, with_cutoff);
   const SensitivityResult b =
-      critical_scaling_factor_global(ts, GlobalRtaOptions{}, without_cutoff);
+      critical_scaling_factor(ts, get_analyzer("global-baseline"), {}, without_cutoff);
   EXPECT_EQ(a.factor, b.factor);
   EXPECT_EQ(a.probes, b.probes);
   EXPECT_EQ(b.cutoff_probes, 0);
