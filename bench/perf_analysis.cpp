@@ -270,7 +270,7 @@ void BM_SensitivityGlobalLegacy(benchmark::State& state) {
 BENCHMARK(BM_SensitivityGlobalLegacy);
 
 void BM_SensitivityGlobalFast(benchmark::State& state) {
-  // Fast path: scaled options + shared context + warm starts + cutoffs.
+  // Fast path: scaled options + shared context + cutoffs.
   const auto ts = make_set(8, 8, 50);
   const analysis::Analyzer& limited = analysis::get_analyzer("global-limited");
   for (auto _ : state) {

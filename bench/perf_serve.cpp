@@ -6,8 +6,8 @@
 // threads, and records requests/s plus p50/p99 response latency. The sweep
 // covers shard counts and batch sizes against the NAIVE baseline
 // (shards=1, batch=1, cache=0: one dispatch per request, every request
-// cold) and three workload mixes (cold-only, repeat-heavy, mixed with
-// mutated resubmissions that exercise the incremental donor path). One
+// cold) and three workload mixes (cold-only, repeat-heavy, and mixed:
+// repeats, WCET-edited resubmissions and fresh systems). One
 // extra run performs a mid-flight hot reload (workers and batch change
 // while clients are blasting) and asserts that NOTHING is dropped.
 //
@@ -95,8 +95,7 @@ model::TaskSet generate_family(std::uint64_t seed) {
 /// Scale the first `node ... wcet=` line of the LOWEST-priority task block
 /// (numerically largest `priority=`) — a textual mutation that keeps the
 /// task-name multiset (same family, same shard) while dirtying exactly one
-/// task, so a warm resubmission takes the incremental donor path with the
-/// longest possible clean prefix.
+/// task: new bytes for the fast memo, so the service analyzes it cold.
 std::string mutate_lowest_priority_task(const std::string& text, int step) {
   std::istringstream in(text);
   std::vector<std::string> lines;
@@ -163,10 +162,11 @@ Doc make_doc(const model::TaskSet& ts, const analysis::Analyzer& analyzer,
   return doc;
 }
 
-/// mix = "cold": every request a never-seen family. "repeat": requests
+/// mix = "cold": requests cycle over up to 48 distinct families (fast-memo
+/// hits after each first touch unless cache=0). "repeat": requests
 /// cycle over a handful of base documents (memo-bound after first touch).
-/// "mixed": bases + mutated variants + a few fresh families (memo,
-/// incremental and cold paths all exercised).
+/// "mixed": bases + mutated variants + a few fresh families (fast memo and
+/// cold paths both exercised).
 Workload build_workload(const std::string& mix, std::size_t requests,
                         std::uint64_t seed,
                         const analysis::Analyzer& analyzer) {
@@ -341,8 +341,6 @@ void write_result(util::JsonWriter& w, const RunResult& r) {
   w.kv("memo_hits", static_cast<std::int64_t>(r.stats.memo_hits));
   w.kv("fast_hits", static_cast<std::int64_t>(r.stats.fast_hits));
   w.kv("incremental", static_cast<std::int64_t>(r.stats.incremental));
-  w.kv("incremental_task_hits",
-       static_cast<std::int64_t>(r.stats.incremental_task_hits));
   w.kv("cold", static_cast<std::int64_t>(r.stats.cold));
   w.kv("batches", static_cast<std::int64_t>(r.stats.batches));
   w.kv("max_batch", static_cast<std::int64_t>(r.stats.max_batch));
@@ -405,12 +403,9 @@ int main(int argc, char** argv) {
       const RunResult& r = results.back();
       std::printf(
           "  %-22s %-6s %8.1f req/s  p50 %7.3f ms  p99 %7.3f ms  "
-          "(memo %llu/fast %llu, incr %llu, cold %llu, dropped %llu, "
-          "mismatch %llu)\n",
+          "(memo %llu, cold %llu, dropped %llu, mismatch %llu)\n",
           r.spec.name.c_str(), r.spec.mix.c_str(), r.requests_per_s, r.p50_ms,
           r.p99_ms, static_cast<unsigned long long>(r.stats.memo_hits),
-          static_cast<unsigned long long>(r.stats.fast_hits),
-          static_cast<unsigned long long>(r.stats.incremental),
           static_cast<unsigned long long>(r.stats.cold),
           static_cast<unsigned long long>(r.dropped),
           static_cast<unsigned long long>(r.mismatches));

@@ -92,20 +92,6 @@ def kernel_times(report):
 def diff_against_baseline(report, baseline):
     """Report-only comparison of the new report against a committed one."""
     diff = {"points": [], "kernels": []}
-    old_adm = baseline.get("admission")
-    new_adm = report.get("admission")
-    if old_adm and new_adm:
-        row = {}
-        for key in ("incremental_wall_s", "warm_wall_s", "cold_wall_s",
-                    "warm_speedup", "incremental_speedup"):
-            old = old_adm.get(key, 0.0)
-            new = new_adm.get(key, 0.0)
-            row[key] = new
-            row["baseline_" + key] = old
-            if old > 0.0 and new > 0.0:
-                print(f"bench_report: admission {key}: {new:.4f} "
-                      f"vs baseline {old:.4f} ({old / new:.2f}x)")
-        diff["admission"] = row
     old_rates = point_rates(baseline)
     for name, rate in sorted(point_rates(report).items()):
         old = old_rates.get(name)
@@ -296,7 +282,7 @@ def main():
         return 1
     admission = report.get("admission")
     if admission and not admission.get("verdicts_agree", True):
-        print("bench_report: admission warm/cold verdict disagreement "
+        print("bench_report: admission controller/cold verdict disagreement "
               "recorded in sweep input", file=sys.stderr)
         return 1
     if scaling_regressions and args.enforce_thread_scaling:

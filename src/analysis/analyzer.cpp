@@ -81,9 +81,7 @@ class GlobalAnalyzer final : public Analyzer {
   std::string_view name() const override { return name_; }
   std::string_view description() const override { return description_; }
   AnalyzerCapabilities capabilities() const override {
-    return {.uses_partition = false,
-            .reports_response_times = true,
-            .supports_warm_start = true};
+    return {.uses_partition = false, .reports_response_times = true};
   }
 
   Report analyze(const model::TaskSet& ts, RtaContext& ctx,
@@ -147,9 +145,7 @@ class PartitionedAnalyzer final : public Analyzer {
   std::string_view name() const override { return name_; }
   std::string_view description() const override { return description_; }
   AnalyzerCapabilities capabilities() const override {
-    return {.uses_partition = true,
-            .reports_response_times = true,
-            .supports_warm_start = true};
+    return {.uses_partition = true, .reports_response_times = true};
   }
 
   PartitionResult make_partition(const model::TaskSet& ts) const override {
@@ -245,9 +241,7 @@ class FederatedAnalyzer final : public Analyzer {
   std::string_view name() const override { return name_; }
   std::string_view description() const override { return description_; }
   AnalyzerCapabilities capabilities() const override {
-    return {.uses_partition = false,
-            .reports_response_times = false,
-            .supports_warm_start = false};
+    return {.uses_partition = false, .reports_response_times = false};
   }
 
   Report analyze(const model::TaskSet& ts, RtaContext& ctx,

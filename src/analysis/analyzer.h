@@ -80,8 +80,6 @@ struct AnalyzerCapabilities {
   bool uses_partition = false;
   /// Fills TaskVerdict::response_time with a finite bound when schedulable.
   bool reports_response_times = false;
-  /// Consults RtaContext warm-start state across scaled re-runs.
-  bool supports_warm_start = false;
 };
 
 /// Unified per-task verdict. Family-specific fields keep their neutral
@@ -134,8 +132,8 @@ struct Report {
   std::shared_ptr<const cert::Certificate> certificate;
 
   /// Value equality; certificates compare by value (both absent, or both
-  /// present and equal), not by pointer identity, so a warm-started Report
-  /// equals its cold twin.
+  /// present and equal), not by pointer identity, so a Report from a reused
+  /// context equals its fresh-context twin.
   friend bool operator==(const Report& a, const Report& b) {
     const bool certs_equal =
         a.certificate == b.certificate ||
@@ -165,8 +163,8 @@ class Analyzer {
   virtual AnalyzerCapabilities capabilities() const = 0;
 
   /// Run the analysis. `ctx` must have been built for `ts` (ModelError
-  /// otherwise) and carries the structural caches and warm-start state
-  /// across calls, exactly as for the family kernels.
+  /// otherwise) and carries the structural caches across calls, exactly as
+  /// for the family kernels.
   virtual Report analyze(const model::TaskSet& ts, RtaContext& ctx,
                          const AnalyzerOptions& options = {}) const = 0;
 

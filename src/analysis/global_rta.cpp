@@ -87,10 +87,6 @@ GlobalRtaResult analyze_global(const model::TaskSet& ts,
     period[i] = ts.task(i).period();
   }
 
-  RtaContext::WarmGlobal& warm = ctx->warm_global();
-  const bool use_warm = ctx->warm_start_enabled() && warm.valid &&
-                        same_analysis(warm.options, options) && warm.scale <= scale;
-
   // Incremental re-analysis: copy the structural prefix's verdicts from the
   // prior run when the analysis fingerprint matches (see rta_context.h).
   const RtaContext::GlobalSnapshot* prior_snap = nullptr;
@@ -171,40 +167,21 @@ GlobalRtaResult analyze_global(const model::TaskSet& ts,
     }
 
     const Time deadline = task.deadline();
-    const auto iterate = [&](Time start, Time& r_out) {
-      Time r = start;
-      bool converged = false;
-      for (int iter = 0; iter < options.max_iterations; ++iter) {
-        Time interference = self_interference;
-        for (std::size_t j : hp) {
-          interference += inter_task_interference(svol[j], svolm[j], period[j],
-                                                  response[j], r, m, options.bound);
-        }
-        const Time next = len + interference / denominator;
-        if (util::time_le(next, r)) {
-          converged = true;
-          break;
-        }
-        r = next;
-        if (util::time_lt(deadline, r)) break;  // already missed
+    Time r = len;
+    bool converged = false;
+    for (int iter = 0; iter < options.max_iterations; ++iter) {
+      Time interference = self_interference;
+      for (std::size_t j : hp) {
+        interference += inter_task_interference(svol[j], svolm[j], period[j],
+                                                response[j], r, m, options.bound);
       }
-      r_out = r;
-      return converged;
-    };
-
-    Time start = len;
-    const bool warm_used = use_warm && warm.response[idx] > start;
-    if (warm_used) start = warm.response[idx];
-    Time r;
-    bool converged = iterate(start, r);
-    if (warm_used && !(converged && util::time_le(r, deadline))) {
-      // A diverging iteration stops at the first iterate past the deadline,
-      // and that partial value depends on the starting point. Rerun cold so
-      // the reported bookkeeping matches a cold run bit-for-bit; divergence
-      // is detected within a handful of iterations, so this stays cheap.
-      converged = iterate(len, r);
-    } else if (warm_used) {
-      ctx->note_warm_hit();
+      const Time next = len + interference / denominator;
+      if (util::time_le(next, r)) {
+        converged = true;
+        break;
+      }
+      r = next;
+      if (util::time_lt(deadline, r)) break;  // already missed
     }
 
     rta.response_time = r;
@@ -222,8 +199,7 @@ GlobalRtaResult analyze_global(const model::TaskSet& ts,
       tcert->self_interference = self_interference;
       if (converged) {
         // The interference breakdown is re-evaluated at the final iterate:
-        // the recorded operands are a function of (r, hp responses) only,
-        // so warm-started and cold runs record identical certificates.
+        // the recorded operands are a function of (r, hp responses) only.
         tcert->claim = cert::TaskClaim::kConverged;
         tcert->hp_interference.reserve(hp.size());
         for (std::size_t j : hp)
@@ -235,17 +211,6 @@ GlobalRtaResult analyze_global(const model::TaskSet& ts,
                            : cert::TaskClaim::kIterationBudget;
       }
     }
-  }
-
-  // Warm state is only trustworthy after a fully schedulable run: every
-  // recorded value is then a converged least fixed point. (Incrementally
-  // copied responses ARE the prior converged fixed points, so copies do
-  // not disturb this invariant.)
-  if (ctx->warm_start_enabled() && result.schedulable) {
-    warm.valid = true;
-    warm.scale = scale;
-    warm.options = options;
-    warm.response = response;
   }
 
   if (ctx->snapshots_enabled()) {

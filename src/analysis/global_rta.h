@@ -82,18 +82,14 @@ class RtaContext;
 /// to lowest priority so that hp response times are available.
 ///
 /// `ctx` (optional) must have been built for `ts`; it caches the priority
-/// orders and hoisted per-task constants across calls and carries the
-/// warm-start state for repeated scaled runs (see rta_context.h). Without a
-/// context the call derives the same state locally — results are identical
-/// either way.
+/// orders and hoisted per-task constants across calls (see rta_context.h).
+/// Without a context the call derives the same state locally — results are
+/// identical either way.
 ///
 /// `certificate` (optional): when non-null, filled with a machine-checkable
 /// proof of the result (see cert.h) — per-task claims, the final iterates
-/// with their interference breakdown, and the b̄ witnesses. Certificates
-/// are identical for warm-started and cold runs: converged fixed points are
-/// bit-identical by the warm-start invariant, diverging warm runs are rerun
-/// cold, and the breakdown is recorded by re-evaluating the recurrence at
-/// the final iterate.
+/// with their interference breakdown (recorded by re-evaluating the
+/// recurrence at the final iterate), and the b̄ witnesses.
 GlobalRtaResult analyze_global(const model::TaskSet& ts,
                                const GlobalRtaOptions& options = {},
                                RtaContext* ctx = nullptr,

@@ -128,17 +128,7 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
   result.per_task.resize(ts.size());
   result.schedulable = true;
 
-  // Warm-start state: applicable when recorded for this exact analysis and
-  // partition at a scale <= ours (responses are monotone in the scale, so
-  // the recorded fixed points sit below ours and the monotone iteration
-  // lands on bit-identical results).
-  RtaContext::WarmPartitioned& warm = ctx->warm_partitioned();
-  const bool use_warm = ctx->warm_start_enabled() && warm.valid &&
-                        warm.binding == ctx->binding_generation() &&
-                        same_analysis(warm.options, options) && warm.scale <= scale;
   const bool split = options.bound == PartitionedBound::kSplitPerSegment;
-  std::vector<std::vector<Time>> segments_out;  // recorded on schedulable runs
-  if (ctx->warm_start_enabled() && split) segments_out.resize(ts.size());
 
   // Incremental re-analysis: verdicts of the structural prefix are copied
   // from the prior run when the whole analysis fingerprint matches and the
@@ -155,7 +145,6 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
       inc_limit = ctx->incremental_prefix();
     }
   }
-  std::size_t copied = 0;
 
   std::vector<Time> response(ts.size(), util::kTimeInfinity);
 
@@ -176,7 +165,6 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
         if (!rta.schedulable) result.schedulable = false;
         if (tcert != nullptr) *tcert = prior_snap->cert->per_task[j];
         ctx->note_incremental_hit();
-        ++copied;
         continue;
       }
       // A changed partition row changes this task's inputs, hence possibly
@@ -260,36 +248,18 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
         }
       }
 
-      const auto iterate = [&](Time start, Time& r_out) {
-        Time r = start;
-        bool converged = false;
-        for (int iter = 0; iter < options.max_iterations; ++iter) {
-          Time demand = base;
-          for (const RtaContext::InterferenceTerm& t : terms)
-            demand += util::ceil_div(r + t.jitter, t.period) * t.wjp;
-          if (util::time_le(demand, r)) {
-            converged = true;
-            break;
-          }
-          r = demand;
-          if (util::time_lt(deadline, r)) break;
+      Time r = base;
+      bool converged = false;
+      for (int iter = 0; iter < options.max_iterations; ++iter) {
+        Time demand = base;
+        for (const RtaContext::InterferenceTerm& t : terms)
+          demand += util::ceil_div(r + t.jitter, t.period) * t.wjp;
+        if (util::time_le(demand, r)) {
+          converged = true;
+          break;
         }
-        r_out = r;
-        return converged;
-      };
-
-      Time start = base;
-      const bool warm_used = use_warm && warm.response[idx] > start;
-      if (warm_used) start = warm.response[idx];
-      Time r;
-      bool converged = iterate(start, r);
-      if (warm_used && !(converged && util::time_le(r, deadline))) {
-        // A diverging iteration stops at a start-dependent partial value;
-        // rerun cold so the bookkeeping (and any emitted certificate)
-        // matches a cold run bit-for-bit, exactly as analyze_global does.
-        converged = iterate(base, r);
-      } else if (warm_used) {
-        ctx->note_warm_hit();
+        r = demand;
+        if (util::time_lt(deadline, r)) break;
       }
       rta.response_time = converged ? r : util::kTimeInfinity;
       rta.schedulable = converged && util::time_le(r, deadline);
@@ -349,45 +319,24 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
       const Time base = scale * (task.wcet(v) + blocking[v]);
       const std::size_t t_begin = offs[core];
       const std::size_t t_end = offs[core + 1];
-      const auto iterate = [&](Time start, Time& x_out) {
-        Time x = start;
-        bool converged = false;
-        for (int iter = 0; iter < options.max_iterations; ++iter) {
-          Time demand = base;
-          for (std::size_t t = t_begin; t < t_end; ++t)
-            demand += util::ceil_div(x + terms[t].jitter, terms[t].period) *
-                      terms[t].wjp;
-          if (util::time_le(demand, x)) {
-            converged = true;
-            break;
-          }
-          x = demand;
-          if (util::time_lt(deadline, x)) break;  // segment alone misses D
+      Time x = base;
+      bool converged = false;
+      for (int iter = 0; iter < options.max_iterations; ++iter) {
+        Time demand = base;
+        for (std::size_t t = t_begin; t < t_end; ++t)
+          demand += util::ceil_div(x + terms[t].jitter, terms[t].period) *
+                    terms[t].wjp;
+        if (util::time_le(demand, x)) {
+          converged = true;
+          break;
         }
-        x_out = x;
-        return converged;
-      };
-      const auto diverges = [&](bool converged, Time x) {
-        return (!converged && util::time_le(x, deadline)) ||
-               util::time_lt(deadline, x);
-      };
-
-      Time start = base;
-      const bool warm_used = use_warm && warm.segments[idx][v] > start;
-      if (warm_used) start = warm.segments[idx][v];
-      Time x;
-      bool converged = iterate(start, x);
-      if (warm_used && diverges(converged, x)) {
-        // Divergence stops at a start-dependent iterate; rerun cold so the
-        // bookkeeping (and any emitted certificate) matches a cold run
-        // bit-for-bit, exactly as analyze_global does.
-        converged = iterate(base, x);
-      } else if (warm_used) {
-        ctx->note_warm_hit();
+        x = demand;
+        if (util::time_lt(deadline, x)) break;  // segment alone misses D
       }
       segment[v] = x;
       if (tcert != nullptr) tcert->segments[v].response = x;
-      if (diverges(converged, x)) {
+      if ((!converged && util::time_le(x, deadline)) ||
+          util::time_lt(deadline, x)) {
         task_diverged = true;
         if (tcert != nullptr) {
           tcert->claim = util::time_lt(deadline, x)
@@ -415,28 +364,11 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
       result.schedulable = false;
       response[idx] = util::kTimeInfinity;
     }
-    if (rta.schedulable && !segments_out.empty()) segments_out[idx] = segment;
     if (tcert != nullptr) {
       tcert->claim = cert::TaskClaim::kConverged;
       tcert->schedulable = rta.schedulable;
       tcert->response = rta.response_time;
     }
-  }
-
-  // Record warm state only from fully schedulable runs: every fixed point
-  // converged and is finite, and any later run at scale' >= scale is
-  // guaranteed to sit at or above these values. A SPLIT run that copied
-  // incremental verdicts never ran those tasks' per-segment fixed points,
-  // so it has no segment values to record — skip (the response vector
-  // alone would leave warm.segments rows empty and unusable).
-  if (ctx->warm_start_enabled() && result.schedulable &&
-      (!split || copied == 0)) {
-    warm.valid = true;
-    warm.scale = scale;
-    warm.binding = ctx->binding_generation();
-    warm.options = options;
-    warm.response = response;
-    if (split) warm.segments = std::move(segments_out);
   }
 
   if (ctx->snapshots_enabled()) {

@@ -1,5 +1,4 @@
-// Cross-layer cache and warm-start state for repeated response-time
-// analyses.
+// Cross-layer cache for repeated response-time analyses.
 //
 // One schedulability probe is never alone: an experiment point runs a
 // baseline and a proposed analysis on the same task set per trial, the
@@ -23,19 +22,11 @@
 // which lets the experiment engine reuse one context per worker thread
 // across trials (the arena is reset, not freed, between trials).
 //
-// Warm-started fixed points: with `set_warm_start(true)`, analyses record
-// their converged per-task (and, for the SPLIT partitioned bound,
-// per-segment) response times after a fully schedulable run at scale s;
-// later runs at scale s' >= s with the same options (and, for the
-// partitioned RTA, the same bound partition) start each fixed-point
-// iteration from max(base, recorded value) instead of from the base. The
-// RTA recurrences are monotone in the iteration start below the least
-// fixed point and responses are monotone in the WCET scale (the clamped
-// suspension-as-jitter terms preserve this), so warm-started results are
-// BIT-IDENTICAL to cold starts — the iteration merely skips the prefix of
-// the climb. Asserted over full scale sweeps in tests/test_rta_context.cpp.
-// Runs that end unschedulable never update the warm state, and runs at a
-// smaller scale than the recorded one fall back to cold starts.
+// Every fixed point starts from its base value on every call: a context
+// reused across WCET scales, options or partitions carries only the
+// structural caches above, so its results equal a fresh context's
+// (asserted over scale sweeps in tests/test_rta_context.cpp). The one way
+// a context reuses an earlier run's RESULTS is the incremental copy below.
 //
 // Incremental re-analysis: with `set_snapshots(true)`, every completed
 // analyze_global / analyze_partitioned run records a per-task result
@@ -59,9 +50,8 @@
 //    keeps one per worker thread (reset per trial), which keeps results
 //    thread-count-invariant.
 //  * bind_partition() copies the assignment; re-binding a partition with
-//    identical content is a no-op that preserves caches and warm state,
-//    while binding a different partition invalidates the partitioned
-//    warm state (generation counter).
+//    identical content is a no-op that preserves the caches, while binding
+//    a different partition recomputes them (generation counter).
 #pragma once
 
 #include <cstddef>
@@ -84,7 +74,7 @@
 namespace rtpool::analysis {
 
 /// True if the two option sets describe the same analysis up to the WCET
-/// scale — the warm-start fingerprint test.
+/// scale — the options guard of an incremental copy.
 bool same_analysis(const GlobalRtaOptions& a, const GlobalRtaOptions& b);
 bool same_analysis(const PartitionedRtaOptions& a, const PartitionedRtaOptions& b);
 
@@ -95,7 +85,7 @@ class RtaContext {
   const model::TaskSet& task_set() const { return *ts_; }
 
   /// Rebind this context to `ts`, dropping every cache, the partition
-  /// binding, warm state, snapshots and incremental state — semantically a
+  /// binding, snapshots and incremental state — semantically a
   /// fresh context — while keeping the capacity of every internal
   /// allocation (vectors, bitset scratch, the view arena). The engine's
   /// per-worker context reuse rides on this.
@@ -174,63 +164,6 @@ class RtaContext {
   std::vector<std::size_t>& interference_offset_scratch() {
     return interference_offset_scratch_;
   }
-
-  // ---- warm-started fixed points ----
-
-  void set_warm_start(bool enabled) { warm_enabled_ = enabled; }
-  bool warm_start_enabled() const { return warm_enabled_; }
-
-  /// Number of fixed-point iterations that started from recorded warm
-  /// state (telemetry for benches/tests).
-  std::size_t warm_hits() const { return warm_hits_; }
-  void note_warm_hit() { ++warm_hits_; }
-
-  /// Warm state recorded by analyze_global (read/written by the analysis;
-  /// exposed because the analyses are free functions, not friends).
-  struct WarmGlobal {
-    bool valid = false;
-    double scale = 0.0;               ///< wcet_scale the values were recorded at.
-    GlobalRtaOptions options;         ///< Fingerprint (wcet_scale ignored).
-    std::vector<util::Time> response; ///< Converged R_i at `scale`.
-  };
-
-  /// Warm state recorded by analyze_partitioned.
-  struct WarmPartitioned {
-    bool valid = false;
-    double scale = 0.0;
-    std::uint64_t binding = 0;        ///< binding_generation() at record time.
-    PartitionedRtaOptions options;    ///< Fingerprint (wcet_scale ignored).
-    std::vector<util::Time> response;
-    /// Per-task per-node converged segment responses (SPLIT bound only).
-    std::vector<std::vector<util::Time>> segments;
-  };
-
-  WarmGlobal& warm_global() { return warm_global_; }
-  WarmPartitioned& warm_partitioned() { return warm_partitioned_; }
-
-  /// Incremental re-admission entry point: seed this context's GLOBAL warm
-  /// state from `prior` (a context for a previous task set), remapping task
-  /// indices through `task_map` — task_map[i] is the prior index of this
-  /// set's task i, or nullopt for a task with no prior incarnation (it
-  /// cold-starts from the base value).
-  ///
-  /// SOUNDNESS CONTRACT (caller's responsibility): only valid when this
-  /// set's workload is a SUPERSET of the prior one per mapped task — i.e.
-  /// an admit transition at the same core count, where every surviving task
-  /// keeps its WCETs, period, deadline and relative priority order, and new
-  /// tasks only ADD interference. Under that premise the prior converged
-  /// response of a mapped task is <= its new least fixed point, so the
-  /// monotone warm-start machinery keeps results BIT-IDENTICAL to a cold
-  /// run (a warm start above the new lfp cannot happen; a diverging warm
-  /// run re-runs cold anyway). Evict and resize transitions must NOT seed
-  /// (interference shrinks / m changes): analyze cold instead.
-  ///
-  /// Returns false (and seeds nothing) when `prior` has no valid global
-  /// warm state. Throws ModelError when task_map's size differs from this
-  /// context's task count or maps out of range. Partitioned warm state is
-  /// never seeded (binding generations are per-context).
-  bool seed_warm_from(const RtaContext& prior,
-                      const std::vector<std::optional<std::size_t>>& task_map);
 
   // ---- result snapshots + incremental re-analysis ----
 
@@ -352,11 +285,6 @@ class RtaContext {
   std::vector<InterferenceTerm> interference_scratch_;
   std::vector<std::size_t> interference_offset_scratch_;
   std::vector<util::DynamicBitset> on_core_scratch_;
-
-  bool warm_enabled_ = false;
-  std::size_t warm_hits_ = 0;
-  WarmGlobal warm_global_;
-  WarmPartitioned warm_partitioned_;
 
   bool snapshots_enabled_ = false;
   GlobalSnapshot global_snapshot_;

@@ -45,7 +45,6 @@ ModeChangeController::ModeChangeController(ModeChangeConfig config,
   }
   util::MutexLock req(request_mutex_);
   ctx_ = std::make_unique<analysis::RtaContext>(*initial);
-  ctx_->set_warm_start(true);
   ctx_->set_snapshots(true);
 }
 
@@ -75,7 +74,7 @@ analysis::Report ModeChangeController::cold_analyze(
     const model::TaskSet& proposed) const {
   analysis::AnalyzerOptions opts = config_.options;
   opts.diagnostics = true;
-  analysis::RtaContext ctx(proposed);  // no warm start: a true cold run
+  analysis::RtaContext ctx(proposed);  // nothing copied: a true cold run
   return analyzer_->analyze(proposed, ctx, opts);
 }
 
@@ -136,7 +135,7 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
   std::size_t workers = cur->workers;
   std::shared_ptr<model::TaskSet> proposed;
   // task_map[i] = index of proposed task i in the PREVIOUS set (nullopt for
-  // the newly admitted task) — the warm-seed and incremental remap.
+  // the newly admitted task) — the incremental remap.
   std::vector<std::optional<std::size_t>> task_map;
   std::string build_error;
   try {
@@ -207,24 +206,14 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
   analysis::AnalyzerOptions opts = config_.options;
   opts.diagnostics = true;  // every verdict carries its certificate witness
   auto ctx = std::make_unique<analysis::RtaContext>(*proposed);
-  ctx->set_warm_start(true);
   // Record snapshots on this context too: if the proposal commits, the
   // NEXT transition analyzes incrementally against this run's results.
   ctx->set_snapshots(true);
-  if (kind == ModeRequestKind::kAdmit && config_.warm_admission &&
-      ctx_ != nullptr) {
-    // Sound only here: an admission keeps m and every surviving task, so
-    // the prior fixed points lower-bound the new ones (see seed_warm_from).
-    tr.warm_seeded = ctx->seed_warm_from(*ctx_, task_map);
-  }
-  if (config_.incremental && ctx_ != nullptr) {
-    // Sound for every kind: begin_incremental's structural prefix plus the
-    // per-analyze guards (options fingerprint, scale, core count,
-    // partition rows) only copy verdicts whose inputs are provably
-    // unchanged — a resize to a new m, say, copies nothing.
-    tr.incremental_armed = true;
-    tr.incremental_prefix = ctx->begin_incremental(*ctx_, task_map);
-  }
+  // Sound for every kind: begin_incremental's structural prefix plus the
+  // per-analyze guards (options fingerprint, scale, core count, partition
+  // rows) only copy verdicts whose inputs are provably unchanged — a
+  // resize to a new m, say, copies nothing.
+  tr.incremental_prefix = ctx->begin_incremental(*ctx_, task_map);
   try {
     tr.report = analyzer_->analyze(*proposed, *ctx, opts);
     tr.accepted = tr.report.schedulable;
@@ -241,7 +230,6 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
     tr.accepted = false;
     tr.reject_reason = std::string("analysis error: ") + e.what();
   }
-  tr.warm_hits = ctx->warm_hits();
   tr.incremental_hits = ctx->incremental_hits();
 
   if (!tr.accepted) return finalize(tr);
@@ -312,7 +300,7 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
     tr.reject_reason = "pool resize failed: " + pool_error;
     return finalize(tr);
   }
-  // The committed mode's warm context feeds the next admission.
+  // The committed mode's context feeds the next transition's copy.
   ctx_ = std::move(ctx);
   tr.committed = true;
   tr.workers_after = workers;
@@ -324,7 +312,7 @@ std::string ModeChangeController::render_log_json(bool include_timings) const {
   std::ostringstream out;
   util::JsonWriter json(out);
   json.begin_object();
-  json.kv("schema", "rtpool-mode-transitions-v1");
+  json.kv("schema", "rtpool-mode-transitions-v2");
   json.kv("analyzer", config_.analyzer);
   json.key("transitions");
   json.begin_array();
@@ -336,9 +324,6 @@ std::string ModeChangeController::render_log_json(bool include_timings) const {
     json.kv("accepted", tr.accepted);
     json.kv("committed", tr.committed);
     json.kv("cross_check_ok", tr.cross_check_ok);
-    json.kv("warm_seeded", tr.warm_seeded);
-    json.kv("warm_hits", static_cast<std::uint64_t>(tr.warm_hits));
-    json.kv("incremental_armed", tr.incremental_armed);
     json.kv("incremental_prefix",
             static_cast<std::uint64_t>(tr.incremental_prefix));
     json.kv("incremental_hits",

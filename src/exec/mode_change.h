@@ -11,20 +11,16 @@
 //        ▼
 //   1. PROPOSE   — build the candidate configuration (task set + core
 //                  count) from the current committed mode;
-//   2. ANALYZE   — run a registry analyzer over the proposal. Admissions
-//                  reuse the previous mode's converged response times as a
-//                  warm start (RtaContext::seed_warm_from): adding a task
-//                  only adds interference, so warm verdicts stay
-//                  bit-identical to a cold full re-analysis while skipping
-//                  most of the fixed-point climb. Evictions and resizes
-//                  skip the warm seed (interference shrinks / m changes —
-//                  the superset premise fails). Independently, EVERY
-//                  proposal is analyzed incrementally against the committed
-//                  mode's recorded snapshots (begin_incremental): the
-//                  longest priority-order prefix of surviving tasks with
-//                  provably unchanged inputs gets its verdicts (and
-//                  certificate payloads) copied instead of re-run — still
-//                  bit-identical by construction.
+//   2. ANALYZE   — run a registry analyzer over the proposal, analyzed
+//                  incrementally against the committed mode's recorded
+//                  snapshots (RtaContext::begin_incremental): the longest
+//                  priority-order prefix of surviving tasks with provably
+//                  unchanged inputs gets its verdicts (and certificate
+//                  payloads) copied instead of re-run — bit-identical to a
+//                  cold full re-analysis by construction. Sound for admit,
+//                  evict and resize alike: the per-analyze guards (equal
+//                  options, scale, core count, partition rows) reject any
+//                  copy whose inputs changed.
 //   3. DECIDE    — reject unless the analysis proves the proposal
 //                  schedulable. Rejections carry the analyzer Report with
 //                  its machine-checkable certificate (cert.h): the witness
@@ -45,9 +41,9 @@
 // Every request appends a ModeTransition to the replayable transition log.
 // DETERMINISM CONTRACT: the controller derives nothing from wall-clock or
 // randomness — feeding the same request sequence to a fresh controller
-// with the same config yields an identical log (verdicts, reasons, warm
-// seeding, certificates), except for the decision_ms timings; compare via
-// render_log_json(/*include_timings=*/false).
+// with the same config yields an identical log (verdicts, reasons,
+// incremental prefixes, certificates), except for the decision_ms timings;
+// compare via render_log_json(/*include_timings=*/false).
 #pragma once
 
 #include <cstdint>
@@ -77,16 +73,6 @@ struct ModeChangeConfig {
   /// Initial core count m when no pool is attached (ignored otherwise —
   /// the pool's worker_count() wins). Must be > 0 in that case.
   std::size_t cores = 0;
-  /// Warm-seed admission analyses from the committed mode's context.
-  bool warm_admission = true;
-  /// Arm incremental re-analysis of every proposal against the committed
-  /// mode's recorded result snapshots (RtaContext::begin_incremental):
-  /// surviving tasks whose priority-order inputs are provably unchanged
-  /// get their verdicts copied instead of re-running their fixed points.
-  /// Sound for admit, evict AND resize — the per-analyze guards (equal
-  /// options, scale, core count, partition rows) reject any copy whose
-  /// inputs changed, so verdicts stay bit-identical to a cold run.
-  bool incremental = true;
   /// Run the runtime cross-check (step 5) on accepted transitions.
   bool cross_check = true;
   /// Roll back an accepted transition whose cross-check fails (off: commit
@@ -116,9 +102,6 @@ struct ModeTransition {
   bool accepted = false;   ///< The analysis proved the proposal schedulable.
   bool committed = false;  ///< Installed as the current mode.
   bool cross_check_ok = true;   ///< Runtime re-validation verdict.
-  bool warm_seeded = false;     ///< Admission reused prior warm state.
-  std::size_t warm_hits = 0;    ///< Fixed-point iterations warm-started.
-  bool incremental_armed = false;      ///< Proposal analyzed incrementally.
   std::size_t incremental_prefix = 0;  ///< Copyable priority-order prefix.
   std::size_t incremental_hits = 0;    ///< Per-task fixed points copied.
   std::string reject_reason;    ///< Why not committed ("" when committed).
@@ -163,9 +146,9 @@ class ModeChangeController {
   /// the same request sequence — the determinism contract.
   std::string render_log_json(bool include_timings = true) const;
 
-  /// Re-run the controller's analyzer cold (fresh context, no warm state)
+  /// Re-run the controller's analyzer cold (fresh context, nothing copied)
   /// over an arbitrary configuration — the independent comparator for the
-  /// warm-equals-cold property.
+  /// incremental-equals-cold property.
   analysis::Report cold_analyze(const model::TaskSet& proposed) const;
 
   const ModeChangeConfig& config() const { return config_; }
@@ -214,8 +197,8 @@ class ModeChangeController {
   /// Serializes requests end-to-end (decide + drain + commit). Acquired
   /// before state_mutex_; never the other way around.
   util::Mutex request_mutex_;
-  /// Warm context of the COMMITTED mode; borrows *mode()->task_set. Only
-  /// the (serialized) request path touches it.
+  /// Context of the COMMITTED mode (snapshots recorded); borrows
+  /// *mode()->task_set. Only the (serialized) request path touches it.
   std::unique_ptr<analysis::RtaContext> ctx_ RTPOOL_GUARDED_BY(request_mutex_);
 
   mutable util::Mutex state_mutex_;

@@ -1,7 +1,5 @@
 #include "exp/elastic_scenarios.h"
 
-#include <chrono>
-
 #include "util/rng.h"
 
 namespace rtpool::exp {
@@ -46,7 +44,6 @@ std::vector<ElasticRequest> make_elastic_scenario(
 ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
                              const exec::ModeChangeConfig& config,
                              exec::ThreadPool* pool, bool verify_cold) {
-  using Clock = std::chrono::steady_clock;
   exec::ModeChangeController controller(config, pool);
   ElasticReplay out;
   out.log.reserve(requests.size());
@@ -64,11 +61,8 @@ ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
         tr = controller.resize(req.new_workers);
         break;
     }
-    out.warm_wall_s += tr.decision_ms / 1000.0;
     if (tr.committed) ++out.committed;
     else ++out.rejected;
-    if (tr.warm_seeded) ++out.warm_seeded;
-    out.warm_hits += tr.warm_hits;
     out.incremental_hits += tr.incremental_hits;
     out.incremental_prefix += tr.incremental_prefix;
 
@@ -76,10 +70,7 @@ ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
     // PROPOSE-stage reject (bogus evict, duplicate name, zero resize)
     // carries a default-constructed Report with no analyzer name.
     if (verify_cold && tr.proposed != nullptr && !tr.report.analyzer.empty()) {
-      const auto t0 = Clock::now();
       const analysis::Report cold = controller.cold_analyze(*tr.proposed);
-      out.cold_wall_s +=
-          std::chrono::duration<double>(Clock::now() - t0).count();
       ++out.verified;
       if (!(cold == tr.report)) out.verdicts_agree = false;
     }

@@ -7,10 +7,8 @@
 // priorities) and occasional invalid requests (evicting a task that never
 // existed) to exercise the reject path. replay_elastic feeds the stream to
 // a fresh controller and — optionally — re-runs every analyzed proposal
-// COLD through the same analyzer, asserting the warm-started admission
+// COLD through the same analyzer, asserting the controller's incremental
 // verdicts are bit-identical (Report::operator== includes certificates).
-// The warm/cold wall-clock split is the admission-latency datum consumed
-// by bench/perf_sweep.
 #pragma once
 
 #include <cstdint>
@@ -55,23 +53,19 @@ struct ElasticReplay {
   std::vector<exec::ModeTransition> log;  ///< One entry per request.
   std::size_t committed = 0;
   std::size_t rejected = 0;
-  std::size_t warm_seeded = 0;   ///< Admissions that reused warm state.
-  std::size_t warm_hits = 0;     ///< Total warm-started fixed-point iters.
   std::size_t incremental_hits = 0;    ///< Per-task fixed points copied.
   std::size_t incremental_prefix = 0;  ///< Sum of copyable prefix lengths.
-  /// Warm == cold verdict agreement over every analyzed proposal (always
-  /// true when verify_cold was off or nothing was comparable).
+  /// Controller == cold verdict agreement over every analyzed proposal
+  /// (always true when verify_cold was off or nothing was comparable).
   bool verdicts_agree = true;
   std::size_t verified = 0;      ///< Proposals compared against a cold run.
-  double warm_wall_s = 0.0;      ///< Sum of in-controller decision times.
-  double cold_wall_s = 0.0;      ///< Sum of independent cold re-analyses.
   std::string log_json;          ///< render_log_json(include_timings=false).
 };
 
 /// Feed `requests` to a fresh controller built from `config` (and an
 /// optional pool, which then receives committed resizes). With verify_cold,
 /// every transition that reached analysis is re-analyzed cold and compared
-/// by Report value equality — the warm-equals-cold property.
+/// by Report value equality — the incremental-equals-cold property.
 ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
                              const exec::ModeChangeConfig& config,
                              exec::ThreadPool* pool = nullptr,

@@ -26,7 +26,8 @@
 //
 //   {"tool": "rtpool-serve", "id": "r17", "ok": true,
 //    "schedulable": true, "analyzer": "global-limited",
-//    "path": "cold" | "memo" | "incremental",
+//    "path": "cold" | "memo",              // "memo": the verdict of an
+//                                          // earlier byte-identical request
 //    "config_version": 1,
 //    "report": {...},                      // lint::render_json(Report, ts)
 //    "certificate": {...},                 // when certify (lint::render_json)
@@ -82,17 +83,12 @@ Request decode_request(const util::JsonValue& doc);
 /// Content fingerprints of a task set (FNV-1a 64-bit over the structural
 /// fields — graph shape, WCET bit patterns, types, period/deadline/priority).
 ///
-/// `set` keys the verdict memo (two sets with equal `set` under the same
-/// analyzer/options produce byte-identical reports — analyses are pure).
-/// `family` groups "the same system under mutation": core count plus the
-/// sorted task-name multiset. Mutated resubmissions keep their family, so
-/// the family indexes incremental donors and routes a system to a stable
-/// shard. `task[i]` is the content hash of task i, used to compute the
-/// dirty set for RtaContext::begin_incremental.
-///
-/// Hashes are advisory: every hit is re-verified against a cheap structural
-/// signature before any verdict is reused (see service.cpp), so a 64-bit
-/// collision can cost a cache miss, never a wrong answer.
+/// `set` hashes the whole set and `task[i]` task i alone. `family` groups
+/// "the same system under mutation": core count plus the sorted task-name
+/// multiset. Mutated resubmissions keep their family, so the service routes
+/// by `family` alone, which sends every incarnation of a system to the same
+/// shard. No verdict is ever looked up by these hashes, so a 64-bit
+/// collision only costs shard balance, never a wrong answer.
 struct TaskSetFingerprint {
   std::uint64_t set = 0;
   std::uint64_t family = 0;

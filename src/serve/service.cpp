@@ -22,24 +22,6 @@ void validate_config(const ServiceConfig& config) {
   analysis::get_analyzer(config.analyzer);  // throws listing known names
 }
 
-std::uint64_t memo_identity(const analysis::Analyzer& analyzer, double scale,
-                            bool certify) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a(h, std::string(analyzer.name()));
-  h = fnv1a(h, scale);
-  h = fnv1a(h, std::uint64_t{certify ? 1u : 0u});
-  return h;
-}
-
-// The memo's equality witness: write_task_set emits every field the
-// analyses read at round-trip precision (setprecision(17)), so two task
-// sets serialize identically iff they are content-equal.
-std::string canonical_text(const model::TaskSet& ts) {
-  std::ostringstream os;
-  model::write_task_set(os, ts);
-  return os.str();
-}
-
 }  // namespace
 
 std::string encode_stats(const std::string& id, const ServiceStats& stats,
@@ -60,7 +42,6 @@ std::string encode_stats(const std::string& id, const ServiceStats& stats,
   w.kv("fast_hits", stats.fast_hits);
   w.kv("incremental", stats.incremental);
   w.kv("cold", stats.cold);
-  w.kv("incremental_task_hits", stats.incremental_task_hits);
   w.kv("batches", stats.batches);
   w.kv("max_batch", stats.max_batch);
   w.kv("reloads", stats.reloads);
@@ -103,15 +84,10 @@ AdmissionService::~AdmissionService() {
 std::shared_ptr<AdmissionService::Epoch> AdmissionService::make_epoch(
     ServiceConfig config, std::uint64_t version) {
   auto epoch = std::make_shared<Epoch>();
-  epoch->default_analyzer = &analysis::get_analyzer(config.analyzer);
   epoch->version = version;
   epoch->shards.reserve(config.shards);
-  for (std::size_t s = 0; s < config.shards; ++s) {
-    auto shard = std::make_shared<Shard>();
-    shard->memo.set_capacity(config.cache);
-    shard->families.set_capacity(std::min(config.cache, kMaxFamilies));
-    epoch->shards.push_back(std::move(shard));
-  }
+  for (std::size_t s = 0; s < config.shards; ++s)
+    epoch->shards.push_back(std::make_shared<Shard>());
   epoch->config = std::move(config);
   return epoch;
 }
@@ -190,7 +166,6 @@ bool AdmissionService::try_fast_path(const Request& request,
                                hit->verdict, request.certify);
   }
   received_.fetch_add(1, std::memory_order_relaxed);
-  memo_hits_.fetch_add(1, std::memory_order_relaxed);
   fast_hits_.fetch_add(1, std::memory_order_relaxed);
   completed_.fetch_add(1, std::memory_order_relaxed);
   done(response);
@@ -199,14 +174,13 @@ bool AdmissionService::try_fast_path(const Request& request,
 
 void AdmissionService::remember_fast(const Request& request,
                                      const std::string& analyzer,
-                                     const MemoEntry& entry,
-                                     std::size_t capacity) {
+                                     MemoEntry entry, std::size_t capacity) {
   FastEntry fast;
   fast.taskset_text = request.taskset_text;
   fast.analyzer = analyzer;
   fast.wcet_scale = request.wcet_scale;
   fast.certify = request.certify;
-  fast.verdict = entry;
+  fast.verdict = std::move(entry);
   // Key BEFORE the move: function arguments are indeterminately sequenced,
   // so fast_key(fast.taskset_text, ...) inside the insert() call could read
   // an already-moved-from string.
@@ -273,8 +247,8 @@ void AdmissionService::submit(Request request, Callback done) {
       try_fast_path(request, name, epoch->version, epoch->config.cache, done))
     return;
 
-  // Decode + fingerprint on the submitting thread so a malformed .taskset
-  // never reaches (or stalls) a dispatch worker.
+  // Decode + route on the submitting thread so a malformed .taskset never
+  // reaches (or stalls) a dispatch worker.
   PendingRequest pending;
   pending.done = std::move(done);
   try {
@@ -291,7 +265,7 @@ void AdmissionService::submit(Request request, Callback done) {
     deliver_error(pending.done, request.id, "unknown analyzer '" + name + "'");
     return;
   }
-  pending.fp = fingerprint(*pending.ts);
+  pending.family = fingerprint(*pending.ts).family;
   pending.request = std::move(request);
 
   {
@@ -323,7 +297,7 @@ void AdmissionService::enqueue(PendingRequest pending) {
     touched.reserve(batch.size());
     for (PendingRequest& p : batch) {
       const std::size_t index =
-          static_cast<std::size_t>(p.fp.family % epoch->config.shards);
+          static_cast<std::size_t>(p.family % epoch->config.shards);
       Shard& shard = *epoch->shards[index];
       util::MutexLock lock(shard.queue_mutex);
       shard.queue.push_back(std::move(p));
@@ -379,7 +353,7 @@ void AdmissionService::run_dispatch(std::shared_ptr<Epoch> epoch,
   Shard& shard = *epoch->shards[shard_index];
 
   // Drain up to `batch` queued submissions in one closure: one worker
-  // wakeup, one cache working set, contiguous context rebinds.
+  // wakeup, contiguous context rebinds.
   std::vector<PendingRequest> taken;
   {
     util::MutexLock lock(shard.queue_mutex);
@@ -453,127 +427,45 @@ void AdmissionService::process_one(const Epoch& epoch, Shard& shard,
   const Request& req = pending.request;
   const model::TaskSet& ts = *pending.ts;
   const analysis::Analyzer& analyzer = *pending.analyzer;
-  const bool caches_on = epoch.config.cache > 0;
 
-  const MemoKey key{pending.fp.set,
-                    memo_identity(analyzer, req.wcet_scale, req.certify)};
-  const char* path = "cold";
-  MemoEntry fresh;
-  const MemoEntry* entry = nullptr;
+  analysis::AnalyzerOptions opts;
+  opts.wcet_scale = req.wcet_scale;
+  opts.diagnostics = req.certify;
 
-  if (caches_on) {
-    if (const MemoEntry* hit = shard.memo.find(key)) {
-      // Advisory fingerprints: FNV-1a 64 is not collision-resistant, so a
-      // hit is re-verified against the donor's FULL identity — the
-      // analyzer/options triple plus a byte-compare of both systems'
-      // canonical re-serializations (cheap counts prefilter first) — so a
-      // collision, even a crafted one, degrades to a miss, never to a
-      // wrong verdict.
-      if (hit->analyzer == analyzer.name() &&
-          hit->wcet_scale == req.wcet_scale && hit->certify == req.certify &&
-          hit->task_count == ts.size() && hit->core_count == ts.core_count() &&
-          hit->canonical == canonical_text(ts)) {
-        entry = hit;
-        path = "memo";
-        memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+  // Bind the shard's arena-backed scratch context to this submission.
+  if (shard.scratch == nullptr)
+    shard.scratch = std::make_unique<analysis::RtaContext>(ts);
+  else
+    shard.scratch->reset(ts);
+  const analysis::Report report = analyzer.analyze(ts, *shard.scratch, opts);
+  cold_.fetch_add(1, std::memory_order_relaxed);
 
-  if (entry == nullptr) {
-    analysis::AnalyzerOptions opts;
-    opts.wcet_scale = req.wcet_scale;
-    opts.diagnostics = req.certify;
-
-    // Bind the shard's arena-backed scratch context to this submission.
-    if (shard.scratch == nullptr)
-      shard.scratch = std::make_unique<analysis::RtaContext>(ts);
-    else
-      shard.scratch->reset(ts);
-    analysis::RtaContext& ctx = *shard.scratch;
-    ctx.set_snapshots(true);
-
-    // A mutated resubmission of a cached family arms incremental
-    // re-analysis: per-task fixed points with provably unchanged inputs are
-    // copied from the donor instead of re-run (bit-identical to cold — see
-    // rta_context.h).
-    FamilyEntry* family =
-        caches_on ? shard.families.find(pending.fp.family) : nullptr;
-    if (family != nullptr && family->analyzer == analyzer.name() &&
-        family->wcet_scale == req.wcet_scale && family->ctx != nullptr) {
-      std::vector<std::optional<std::size_t>> task_map(ts.size());
-      std::vector<char> dirty(ts.size(), 0);
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        for (std::size_t j = 0; j < family->ts->size(); ++j) {
-          if (ts.task(i).name() == family->ts->task(j).name()) {
-            task_map[i] = j;
-            dirty[i] = pending.fp.task[i] != family->fp.task[j] ? 1 : 0;
-            break;
-          }
-        }
-      }
-      if (ctx.begin_incremental(*family->ctx, task_map, dirty) > 0) {
-        path = "incremental";
-        incremental_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-
-    const analysis::Report report = analyzer.analyze(ts, ctx, opts);
-    incremental_task_hits_.fetch_add(ctx.incremental_hits(),
-                                     std::memory_order_relaxed);
-    if (path[0] == 'c') cold_.fetch_add(1, std::memory_order_relaxed);
-
-    fresh.task_count = ts.size();
-    fresh.core_count = ts.core_count();
-    fresh.canonical = canonical_text(ts);
-    fresh.analyzer = std::string(analyzer.name());
-    fresh.wcet_scale = req.wcet_scale;
-    fresh.certify = req.certify;
-    fresh.schedulable = report.schedulable;
-    fresh.report_json = lint::render_json(report, ts);
-    if (req.certify) {
-      if (report.certificate != nullptr) {
-        fresh.certificate_json = lint::render_json(*report.certificate, ts);
-        const analysis::cert::CheckResult check =
-            analysis::cert::check_certificate(ts, *report.certificate);
-        fresh.certificate_ok = check.ok();
-        fresh.claims_checked = check.claims_checked;
-        certified_.fetch_add(1, std::memory_order_relaxed);
-        if (!check.ok())
-          cert_failures_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        fresh.certificate_json = "null";
-        fresh.certificate_ok = false;
-      }
-    }
-
-    if (caches_on) {
-      // This run's context (snapshots recorded) becomes the family's donor;
-      // the donor's old context becomes the next scratch, so arenas recycle
-      // instead of reallocating.
-      if (family == nullptr) {
-        family = &shard.families.insert(pending.fp.family, FamilyEntry{});
-      }
-      family->fp = pending.fp;
-      family->ts = std::move(pending.ts);
-      family->analyzer = std::string(analyzer.name());
-      family->wcet_scale = req.wcet_scale;
-      std::swap(family->ctx, shard.scratch);
-      entry = &shard.memo.insert(key, std::move(fresh));
+  MemoEntry entry;
+  entry.schedulable = report.schedulable;
+  entry.report_json = lint::render_json(report, ts);
+  if (req.certify) {
+    if (report.certificate != nullptr) {
+      entry.certificate_json = lint::render_json(*report.certificate, ts);
+      const analysis::cert::CheckResult check =
+          analysis::cert::check_certificate(ts, *report.certificate);
+      entry.certificate_ok = check.ok();
+      entry.claims_checked = check.claims_checked;
+      certified_.fetch_add(1, std::memory_order_relaxed);
+      if (!check.ok())
+        cert_failures_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      entry = &fresh;
+      entry.certificate_json = "null";
+      entry.certificate_ok = false;
     }
   }
 
-  // Whatever path produced the verdict, remember it for the pre-parse fast
-  // path (a later byte-identical resubmission skips the parse entirely).
-  if (caches_on)
-    remember_fast(req, std::string(analyzer.name()), *entry,
-                  epoch.config.cache);
-
-  const std::string response =
-      render_response(req.id, std::string(analyzer.name()), path,
-                      epoch.version, *entry, req.certify);
+  const std::string name(analyzer.name());
+  const std::string response = render_response(
+      req.id, name, "cold", epoch.version, entry, req.certify);
+  // Remember the verdict before delivering it, so a byte-identical
+  // resubmission sent after this response skips the parse entirely.
+  if (epoch.config.cache > 0)
+    remember_fast(req, name, std::move(entry), epoch.config.cache);
   completed_.fetch_add(1, std::memory_order_relaxed);
   // Move the callback out before invoking it: if it throws, run_dispatch's
   // guard sees pending.done empty and does not invoke it a second time.
@@ -609,14 +501,10 @@ ServiceConfig AdmissionService::reload(
   const std::uint64_t version = old_epoch->version + 1;
   std::shared_ptr<Epoch> fresh = make_epoch(next, version);
 
-  // Carry the warm state across compatible reloads: same shard count and
-  // same default analyzer means the routing and the donors stay valid.
-  const bool keep_shards =
-      next.shards == old_epoch->config.shards &&
-      next.analyzer == old_epoch->config.analyzer &&
-      next.cache == old_epoch->config.cache;
-  if (keep_shards)
-    fresh->shards = old_epoch->shards;  // shared: warm caches survive
+  // An unchanged shard count keeps the routing valid, so the live shard
+  // objects (queues and scratch contexts) carry over as they are.
+  const bool keep_shards = next.shards == old_epoch->config.shards;
+  if (keep_shards) fresh->shards = old_epoch->shards;
 
   // Install the new epoch BEFORE re-routing the old queues. enqueue()
   // re-checks the epoch after every push, so this order makes the race
@@ -641,7 +529,7 @@ ServiceConfig AdmissionService::reload(
         PendingRequest pending = std::move(old_shard->queue.front());
         old_shard->queue.pop_front();
         const std::size_t target =
-            static_cast<std::size_t>(pending.fp.family % next.shards);
+            static_cast<std::size_t>(pending.family % next.shards);
         Shard& dst = *fresh->shards[target];
         util::MutexLock dlock(dst.queue_mutex);
         dst.queue.push_back(std::move(pending));
@@ -686,12 +574,9 @@ ServiceStats AdmissionService::stats() const {
   s.received = received_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
-  s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   s.fast_hits = fast_hits_.load(std::memory_order_relaxed);
-  s.incremental = incremental_.load(std::memory_order_relaxed);
+  s.memo_hits = s.fast_hits;
   s.cold = cold_.load(std::memory_order_relaxed);
-  s.incremental_task_hits =
-      incremental_task_hits_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.reloads = reloads_.load(std::memory_order_relaxed);

@@ -1,45 +1,43 @@
-// The admission-service core behind rtpool-serve: sharded warm contexts,
-// batched dispatch, verdict memoization, incremental re-analysis, and hot
-// reconfiguration that never drops an in-flight request.
+// The admission-service core behind rtpool-serve: sharded scratch contexts,
+// batched dispatch, one verdict memo, and hot reconfiguration that never
+// drops an in-flight request.
 //
-//                 submit() [connection threads: parse + fingerprint]
+//                 submit() [connection threads: fast memo, else parse +
+//                           fingerprint]
 //                      │
 //            shard = family(fp) % shards        ┌─ per-shard state ─┐
 //                      ▼                        │ scratch RtaContext │
-//   ┌ shard 0 queue ┐ ┌ shard 1 queue ┐  ...    │ verdict memo (LRU) │
-//   └───────┬───────┘ └───────┬───────┘         │ family donors (LRU)│
-//           ▼                 ▼                 └────────────────────┘
+//   ┌ shard 0 queue ┐ ┌ shard 1 queue ┐  ...    └────────────────────┘
+//   └───────┬───────┘ └───────┬───────┘
+//           ▼                 ▼
 //      worker s%W        worker s%W      (exec::ThreadPool, kPerWorker)
 //
-// PERFORMANCE MODEL. Each shard owns one arena-backed analysis::RtaContext
-// plus its caches, and AT MOST ONE dispatch closure per shard is in flight
-// at any time (the `dispatch_scheduled` flag hands off under the queue
-// mutex) — so shard state needs NO locking on the hot path: the pinned
-// dispatch closure is the only reader/writer, and the pool's queue mutex
-// provides the happens-before edge between consecutive dispatches. A
-// dispatch drains up to `batch` queued submissions in one closure, so the
-// per-request cost of waking a worker, rebinding the context and touching
-// the caches amortizes across the batch. Routing by the FAMILY fingerprint
-// (core count + task-name multiset, stable across WCET mutations) sends
-// repeat and mutated submissions of one system to the same shard, where:
+// PERFORMANCE MODEL. Each shard owns one arena-backed analysis::RtaContext,
+// and AT MOST ONE dispatch closure per shard is in flight at any time (the
+// `dispatch_scheduled` flag hands off under the queue mutex) — so the
+// context needs NO locking on the hot path: the pinned dispatch closure is
+// its only reader/writer, and the pool's queue mutex provides the
+// happens-before edge between consecutive dispatches. A dispatch drains up
+// to `batch` queued submissions in one closure, so the per-request cost of
+// waking a worker and rebinding the context amortizes across the batch.
+// Routing by the FAMILY fingerprint (core count + task-name multiset,
+// stable across WCET mutations) sends every incarnation of a system to the
+// same shard. Each request is answered one of two ways:
 //
-//   * a byte-identical resubmission is answered ON THE CONNECTION THREAD
-//     from a text-keyed fast memo, before the .taskset is even parsed —
-//     profiling showed repeat verdicts were dominated by document parsing
-//     and DagTask cache construction, not analysis; hits byte-compare the
-//     stored text, so a hash collision costs a miss, never a wrong answer;
-//   * an exact content match after parsing ("memo", e.g. the same system
-//     re-serialized with different whitespace) reuses the rendered verdict
-//     without re-running any analysis — hits byte-compare the canonical
-//     re-serialization of both systems plus the analyzer/options identity,
-//     so the same collision guarantee holds;
-//   * a mutated resubmission ("incremental") arms
-//     RtaContext::begin_incremental against the family's cached donor
-//     context: the clean priority-order prefix of per-task fixed points is
-//     copied instead of re-run, bit-identical to cold by construction;
-//   * everything else ("cold") runs the full analysis, then becomes the
-//     family's new donor (contexts recycle via pointer swap, so arenas are
-//     reused, not reallocated).
+//   * "memo": a byte-identical resubmission is answered ON THE CONNECTION
+//     THREAD from a text-keyed fast memo, before the .taskset is even
+//     parsed — repeat verdicts are dominated by document parsing and
+//     DagTask cache construction, not analysis; hits byte-compare the
+//     stored request identity, so a hash collision costs a miss, never a
+//     wrong answer;
+//   * "cold": everything else is parsed and fingerprinted on the connection
+//     thread, then analyzed on its shard's scratch context (rebound per
+//     request, so arenas are reused, not reallocated).
+//
+// Nothing else is reused. Re-serialized and WCET-edited resubmissions run
+// cold: a post-parse content memo's equality witness (a full
+// re-serialization) cost more than the analysis it skipped, on every
+// parsed request (EXPERIMENTS.md, "One verdict cache").
 //
 // Every response's "report" member is rendered through the same
 // lint::render_json as rtpool_cli --format=json, so service verdicts are
@@ -52,10 +50,10 @@
 // dropped or answered under a half-installed config), swaps the epoch
 // (analyzer / shards / batch / cache) and only THEN re-routes the old
 // epoch's queues into the new shards, applies a worker delta through
-// exec::ModeChangeController::resize — the guarded DRAIN→COMMIT transition
-// of PR 7, which also logs the change — and resumes. Requests that were
-// dispatched before the reload complete under the old epoch (they hold a
-// shared_ptr to it); requests still queued run under the new one. The
+// exec::ModeChangeController::resize — the guarded DRAIN→COMMIT transition,
+// which also logs the change — and resumes. Requests that were dispatched
+// before the reload complete under the old epoch (they hold a shared_ptr
+// to it); requests still queued run under the new one. The
 // swap-before-re-route order pairs with a re-check in enqueue(): a racing
 // submission that still observed the old epoch pushed before the swap, so
 // the re-route pass is guaranteed to pick its entry up; one that observes
@@ -89,9 +87,8 @@ struct ServiceConfig {
   std::size_t workers = 4;  ///< Pool workers executing dispatch closures.
   std::size_t shards = 4;   ///< Context shards (>= 1).
   std::size_t batch = 8;    ///< Max submissions one dispatch closure drains.
-  /// Verdict-memo entries per shard; family donor contexts are capped at
-  /// min(cache, kMaxFamilies). 0 disables both caches (every request runs
-  /// cold — the naive baseline the bench compares against).
+  /// Fast-memo entries, shared by all shards. 0 disables the memo (every
+  /// request runs cold — the naive baseline the bench compares against).
   std::size_t cache = 256;
 };
 
@@ -100,11 +97,14 @@ struct ServiceStats {
   std::uint64_t received = 0;      ///< Submissions accepted into a queue.
   std::uint64_t completed = 0;     ///< Verdict responses delivered.
   std::uint64_t errors = 0;        ///< Error responses delivered.
-  std::uint64_t memo_hits = 0;     ///< Answered from either verdict memo.
-  std::uint64_t fast_hits = 0;     ///< … of which pre-parse text-memo hits.
-  std::uint64_t incremental = 0;   ///< Analyzed with an armed donor prefix.
+  /// Answered from the fast memo: always equal to fast_hits. Both remain
+  /// because existing stats readers (the benchmark among them) read both.
+  std::uint64_t memo_hits = 0;
+  std::uint64_t fast_hits = 0;     ///< Pre-parse text-memo hits.
+  /// Always 0: no request is answered incrementally. Kept for the same
+  /// stats readers.
+  std::uint64_t incremental = 0;
   std::uint64_t cold = 0;          ///< Full cold analyses.
-  std::uint64_t incremental_task_hits = 0;  ///< Per-task fixed points copied.
   std::uint64_t batches = 0;       ///< Dispatch closures executed.
   std::uint64_t max_batch = 0;     ///< Largest single-dispatch drain.
   std::uint64_t reloads = 0;       ///< Committed reconfigurations.
@@ -122,7 +122,8 @@ class AdmissionService {
   /// Rendered JSON response, exactly one per submitted request.
   using Callback = std::function<void(const std::string&)>;
 
-  /// Donor contexts cached per shard (each owns an arena-backed context).
+  /// Sizes nothing in the service; kept because the benchmark's serve
+  /// workload static_asserts its system count below it.
   static constexpr std::size_t kMaxFamilies = 16;
 
   /// Validates the config (>= 1 worker/shard/batch, known analyzer name;
@@ -178,18 +179,8 @@ class AdmissionService {
 
  private:
   /// One memoized verdict: everything needed to re-render a response minus
-  /// the per-request id, plus the donor's full identity — the canonical
-  /// re-serialization (model::write_task_set at round-trip precision) and
-  /// the analyzer/options triple — byte-compared on every hit so an FNV
-  /// collision degrades to a miss, never to a wrong verdict (see
-  /// protocol.h).
+  /// the per-request id.
   struct MemoEntry {
-    std::size_t task_count = 0;   ///< Cheap prefilter before `canonical`.
-    std::size_t core_count = 0;
-    std::string canonical;        ///< write_task_set(donor) — equality witness.
-    std::string analyzer;         ///< Resolved registry name of the donor run.
-    double wcet_scale = 1.0;
-    bool certify = false;
     bool schedulable = false;
     std::string report_json;      ///< lint::render_json(Report, ts).
     std::string certificate_json; ///< "" when the request had certify off.
@@ -207,28 +198,7 @@ class AdmissionService {
     MemoEntry verdict;
   };
 
-  /// Cached incremental donor: the family's last analyzed incarnation.
-  struct FamilyEntry {
-    TaskSetFingerprint fp;
-    std::unique_ptr<model::TaskSet> ts;
-    std::unique_ptr<analysis::RtaContext> ctx;  ///< Snapshots recorded.
-    std::string analyzer;  ///< Registry name the donor ran under.
-    double wcet_scale = 1.0;
-  };
-
-  /// Key of the verdict memo: content + analysis identity.
-  struct MemoKey {
-    std::uint64_t set = 0;
-    std::uint64_t analyzer_and_scale = 0;  ///< fnv1a(name, scale, certify).
-    bool operator==(const MemoKey&) const = default;
-  };
-  struct MemoKeyHash {
-    std::size_t operator()(const MemoKey& k) const {
-      return static_cast<std::size_t>(k.set ^ (k.analyzer_and_scale * kFnvPrime));
-    }
-  };
-
-  template <typename Key, typename Value, typename Hash>
+  template <typename Key, typename Value>
   class LruCache {
    public:
     void set_capacity(std::size_t cap) { capacity_ = cap; trim(); }
@@ -238,18 +208,15 @@ class AdmissionService {
       order_.splice(order_.begin(), order_, it->second);
       return &it->second->second;
     }
-    Value& insert(const Key& key, Value value) {
+    void insert(const Key& key, Value value) {
       if (Value* existing = find(key)) {
         *existing = std::move(value);
-        return *existing;
+        return;
       }
       order_.emplace_front(key, std::move(value));
       index_[key] = order_.begin();
       trim();
-      return order_.front().second;
     }
-    void clear() { order_.clear(); index_.clear(); }
-    std::size_t size() const { return order_.size(); }
 
    private:
     void trim() {
@@ -260,47 +227,40 @@ class AdmissionService {
     }
     std::size_t capacity_ = 0;
     std::list<std::pair<Key, Value>> order_;
-    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
-                       Hash> index_;
+    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator>
+        index_;
   };
 
-  /// One queued submission (parsed + fingerprinted on the submitting
-  /// thread, so dispatch never blocks on request decoding).
+  /// One queued submission (parsed + routed on the submitting thread, so
+  /// dispatch never blocks on request decoding).
   struct PendingRequest {
     Request request;
     const analysis::Analyzer* analyzer = nullptr;
     std::unique_ptr<model::TaskSet> ts;
-    TaskSetFingerprint fp;
+    std::uint64_t family = 0;  ///< TaskSetFingerprint::family: the route.
     Callback done;
   };
 
   /// Hot-path state of one shard. Only the shard's single in-flight
-  /// dispatch closure touches the members below `queue` — see file header
-  /// for why that needs no mutex.
+  /// dispatch closure touches `scratch` — see file header for why that
+  /// needs no mutex.
   struct Shard {
     util::Mutex queue_mutex;
     std::deque<PendingRequest> queue RTPOOL_GUARDED_BY(queue_mutex);
     bool dispatch_scheduled RTPOOL_GUARDED_BY(queue_mutex) = false;
 
-    // ---- dispatch-closure-only state (unsynchronized by design) ----
+    /// Rebound to each request; dispatch-closure-only (unsynchronized by
+    /// design).
     std::unique_ptr<analysis::RtaContext> scratch;
-    LruCache<MemoKey, MemoEntry, MemoKeyHash> memo;
-    struct FamilyKeyHash {
-      std::size_t operator()(const std::uint64_t& k) const {
-        return static_cast<std::size_t>(k);
-      }
-    };
-    LruCache<std::uint64_t, FamilyEntry, FamilyKeyHash> families;
   };
 
   /// The immutable per-reload configuration epoch. In-flight dispatches
   /// and racing submits hold a shared_ptr, so a reload never invalidates
-  /// what they observe; shards are shared too, so a compatible reload can
-  /// hand the warm shard state to the next epoch while a racing submit
-  /// still pushes into the same (live) queue object.
+  /// what they observe; shards are shared too, so a reload that keeps the
+  /// shard count hands the same shard objects to the next epoch while a
+  /// racing submit still pushes into the same (live) queue object.
   struct Epoch {
     ServiceConfig config;
-    const analysis::Analyzer* default_analyzer = nullptr;
     std::uint64_t version = 1;
     std::vector<std::shared_ptr<Shard>> shards;
   };
@@ -326,7 +286,7 @@ class AdmissionService {
   /// The dispatch closure body: drain up to `batch` submissions.
   void run_dispatch(std::shared_ptr<Epoch> epoch, std::size_t shard_index);
 
-  /// Analyze (or memo-serve) one submission and deliver its response.
+  /// Analyze one submission cold and deliver its response.
   void process_one(const Epoch& epoch, Shard& shard, PendingRequest& pending);
 
   void deliver_error(const Callback& done, const std::string& id,
@@ -351,7 +311,7 @@ class AdmissionService {
 
   /// Record a rendered verdict in the pre-parse fast memo.
   void remember_fast(const Request& request, const std::string& analyzer,
-                     const MemoEntry& entry, std::size_t capacity);
+                     MemoEntry entry, std::size_t capacity);
 
   ServiceConfig base_config_;  ///< Only for config(); epochs hold the truth.
 
@@ -364,14 +324,8 @@ class AdmissionService {
   /// Pre-parse fast memo, shared across shards (connection threads probe it
   /// before any routing). Verdicts are pure functions of the request
   /// identity, so entries survive reloads; capacity follows config.cache.
-  struct FastKeyHash {
-    std::size_t operator()(const std::uint64_t& k) const {
-      return static_cast<std::size_t>(k);
-    }
-  };
   mutable util::Mutex fast_mutex_;
-  LruCache<std::uint64_t, FastEntry, FastKeyHash> fast_memo_
-      RTPOOL_GUARDED_BY(fast_mutex_);
+  LruCache<std::uint64_t, FastEntry> fast_memo_ RTPOOL_GUARDED_BY(fast_mutex_);
 
   /// Serializes reload()/request_shutdown() end to end.
   util::Mutex reload_mutex_;
@@ -387,8 +341,7 @@ class AdmissionService {
 
   // Counters (relaxed: monotone telemetry, snapshot consistency not needed).
   std::atomic<std::uint64_t> received_{0}, completed_{0}, errors_{0},
-      memo_hits_{0}, fast_hits_{0}, incremental_{0}, cold_{0},
-      incremental_task_hits_{0}, batches_{0}, max_batch_{0}, reloads_{0},
+      fast_hits_{0}, cold_{0}, batches_{0}, max_batch_{0}, reloads_{0},
       certified_{0}, cert_failures_{0};
 };
 

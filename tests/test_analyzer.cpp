@@ -89,7 +89,6 @@ TEST(AnalyzerRegistryTest, Capabilities) {
   const auto glob = analysis::get_analyzer("global-limited").capabilities();
   EXPECT_FALSE(glob.uses_partition);
   EXPECT_TRUE(glob.reports_response_times);
-  EXPECT_TRUE(glob.supports_warm_start);
 
   const auto part = analysis::get_analyzer("partitioned-proposed").capabilities();
   EXPECT_TRUE(part.uses_partition);

@@ -61,9 +61,14 @@ TEST(ThreadPoolTest, ExecutesSubmittedClosures) {
         cv.notify_all();
       }
     });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   std::unique_lock lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return count.load() == 100; }));
+  ASSERT_TRUE(cv.wait_until(lock, deadline, [&] { return count.load() == 100; }));
+  lock.unlock();
+  // A worker bumps executed() only after its closure has returned, so the
+  // last increment can trail count reaching 100: wait for it too.
+  while (pool.executed() < 100u && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_GE(pool.executed(), 100u);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the online mode-change controller (exec/mode_change.h):
 // admission / eviction / resize decision paths, certificate-carrying
-// rejections, the warm-equals-cold property, the runtime cross-check
+// rejections, the incremental-equals-cold property, the runtime cross-check
 // against the Lemma 2 witness, drain semantics and log determinism.
 #include <gtest/gtest.h>
 
@@ -209,9 +209,11 @@ TEST(ModeChangeTest, CrossCheckFailureCommitsLoudlyWhenNotRequired) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-equals-cold: the property the warm-start shortcut must preserve.
+// Incremental-equals-cold: the property the verdict copy must preserve.
 
 TEST(ModeChangeTest, WarmVerdictsBitIdenticalToColdOverSeededStreams) {
+  // "Warm": the controller's verdicts, analyzed against the committed
+  // mode's snapshots; "cold": a fresh-context re-analysis of each proposal.
   for (const std::uint64_t seed : {11u, 29u, 47u}) {
     exp::ElasticScenarioParams params;
     params.steps = 8;
@@ -221,44 +223,23 @@ TEST(ModeChangeTest, WarmVerdictsBitIdenticalToColdOverSeededStreams) {
         exp::replay_elastic(requests, small_config(), /*pool=*/nullptr,
                             /*verify_cold=*/true);
     EXPECT_TRUE(replay.verdicts_agree)
-        << "seed " << seed << ": warm verdict diverged from cold re-analysis";
+        << "seed " << seed << ": controller verdict diverged from cold re-analysis";
     EXPECT_GT(replay.verified, 0u) << "seed " << seed;
     EXPECT_EQ(replay.committed + replay.rejected, requests.size())
         << "seed " << seed;
   }
 }
 
-TEST(ModeChangeTest, WarmAdmissionsActuallyReuseWarmState) {
-  // Incremental off: the warm-start tier alone must carry the shortcut.
-  ModeChangeConfig config = small_config();
-  config.incremental = false;
-  ModeChangeController controller(config);
-  ASSERT_TRUE(controller.admit(light_task("tau0", 0)).committed);
-  const ModeTransition second = controller.admit(light_task("tau1", 1));
-  ASSERT_TRUE(second.committed);
-  // The shortcut is real, not vacuous: the second admission seeded from the
-  // first mode's converged response times.
-  EXPECT_TRUE(second.warm_seeded);
-  EXPECT_GT(second.warm_hits, 0u);
-  EXPECT_EQ(second.incremental_hits, 0u);
-  // And it matches a cold run of the same proposal bit-for-bit.
-  ASSERT_NE(second.proposed, nullptr);
-  const analysis::Report cold = controller.cold_analyze(*second.proposed);
-  EXPECT_TRUE(cold == second.report);
-}
-
 TEST(ModeChangeTest, IncrementalAdmissionsCopyPriorVerdicts) {
-  // Default config: incremental on. The second admission adds tau1 at a
-  // LOWER priority than surviving tau0, so tau0 sits in the copyable
-  // prefix — its fixed point is skipped outright, not just warm-started.
+  // The second admission adds tau1 at a LOWER priority than surviving
+  // tau0, so tau0 sits in the copyable prefix — its fixed point is skipped
+  // outright.
   ModeChangeController controller(small_config());
   const ModeTransition first = controller.admit(light_task("tau0", 0));
   ASSERT_TRUE(first.committed);
-  EXPECT_TRUE(first.incremental_armed);
   EXPECT_EQ(first.incremental_prefix, 0u);  // no prior incarnation yet
   const ModeTransition second = controller.admit(light_task("tau1", 1));
   ASSERT_TRUE(second.committed);
-  EXPECT_TRUE(second.incremental_armed);
   EXPECT_EQ(second.incremental_prefix, 1u);
   EXPECT_GT(second.incremental_hits, 0u);
   // Bit-identical to a cold run of the same proposal.
@@ -276,7 +257,6 @@ TEST(ModeChangeTest, IncrementalEvictionsCopyHigherPriorityPrefix) {
   // interference inputs unchanged: the whole surviving set is copyable.
   const ModeTransition evict = controller.evict("tau2");
   ASSERT_TRUE(evict.committed);
-  EXPECT_TRUE(evict.incremental_armed);
   EXPECT_EQ(evict.incremental_prefix, 2u);
   EXPECT_GT(evict.incremental_hits, 0u);
   ASSERT_NE(evict.proposed, nullptr);
@@ -291,7 +271,6 @@ TEST(ModeChangeTest, ResizeCopiesNothingButStaysCorrect) {
   ASSERT_TRUE(controller.admit(light_task("tau0", 0)).committed);
   const ModeTransition resize = controller.resize(6);
   ASSERT_TRUE(resize.committed);
-  EXPECT_TRUE(resize.incremental_armed);
   EXPECT_EQ(resize.incremental_hits, 0u);
   ASSERT_NE(resize.proposed, nullptr);
   const analysis::Report cold = controller.cold_analyze(*resize.proposed);
@@ -316,7 +295,7 @@ TEST(ModeChangeTest, TransitionLogReplaysBitIdentically) {
   drive(b);
   const std::string log_a = a.render_log_json(/*include_timings=*/false);
   EXPECT_EQ(log_a, b.render_log_json(/*include_timings=*/false));
-  EXPECT_NE(log_a.find("\"rtpool-mode-transitions-v1\""), std::string::npos);
+  EXPECT_NE(log_a.find("\"rtpool-mode-transitions-v2\""), std::string::npos);
   EXPECT_EQ(a.transition_log().size(), 6u);
 }
 

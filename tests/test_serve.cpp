@@ -1,5 +1,5 @@
 // Tests for the rtpool-serve admission service: wire protocol decoding,
-// content fingerprints, the cold/memo/incremental service paths and their
+// content fingerprints, the cold and memo service paths and their
 // counters, verdict bit-identity against a direct analyzer run, hot
 // reconfiguration under load (nothing dropped), and the TCP frame server.
 #include <gtest/gtest.h>
@@ -52,8 +52,7 @@ std::string generate_taskset_text(std::uint64_t seed, std::size_t tasks = 6) {
 
 /// Scale the first `node ... wcet=` line of the LOWEST-priority task block
 /// (numerically largest `priority=`): keeps the task-name multiset (same
-/// family) while dirtying exactly one task, and the dirtied task is last in
-/// priority order, so the donor's clean prefix is maximal.
+/// family) while dirtying exactly one task, the last in priority order.
 std::string mutate_lowest_priority_task(const std::string& text) {
   std::istringstream in(text);
   std::vector<std::string> lines;
@@ -205,7 +204,7 @@ TEST(ServeFingerprintTest, DeterministicAcrossReparse) {
 // ---------------------------------------------------------------------------
 // Service paths, counters, and verdict bit-identity.
 
-TEST(AdmissionServiceTest, ColdFastMemoIncrementalPaths) {
+TEST(AdmissionServiceTest, ColdAndMemoPaths) {
   ServiceConfig config;
   config.workers = 2;
   config.shards = 2;
@@ -226,18 +225,16 @@ TEST(AdmissionServiceTest, ColdFastMemoIncrementalPaths) {
   EXPECT_EQ(service.stats().fast_hits, 1u);
 
   // 3. Same content, different bytes (trailing blank line): misses the
-  //    text-keyed fast memo, hits the post-parse content memo.
+  //    text-keyed fast memo and is analyzed cold, to the same report.
   const std::string third = submit_sync(service, submit_request(text + "\n", "c"));
-  EXPECT_EQ(util::parse_json(third).at("path").as_string(), "memo");
+  EXPECT_EQ(util::parse_json(third).at("path").as_string(), "cold");
   EXPECT_EQ(extract_member(third, "report"), extract_member(first, "report"));
-  EXPECT_EQ(service.stats().fast_hits, 1u);
-  EXPECT_EQ(service.stats().memo_hits, 2u);
 
-  // 4. Mutated resubmission: same family, incremental donor path, and the
-  //    verdict is still byte-identical to a cold reference run.
+  // 4. Mutated resubmission of the same family: analyzed cold, and the
+  //    verdict is byte-identical to a reference run of the mutated set.
   const std::string mutated = mutate_lowest_priority_task(text);
   const std::string fourth = submit_sync(service, submit_request(mutated, "d"));
-  EXPECT_EQ(util::parse_json(fourth).at("path").as_string(), "incremental");
+  EXPECT_EQ(util::parse_json(fourth).at("path").as_string(), "cold");
   EXPECT_EQ(extract_member(fourth, "report") + "\n",
             reference_report(mutated, "global-limited"));
 
@@ -245,9 +242,10 @@ TEST(AdmissionServiceTest, ColdFastMemoIncrementalPaths) {
   EXPECT_EQ(stats.received, 4u);
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(stats.cold, 1u);
-  EXPECT_EQ(stats.incremental, 1u);
-  EXPECT_GT(stats.incremental_task_hits, 0u);
+  EXPECT_EQ(stats.cold, 3u);
+  EXPECT_EQ(stats.fast_hits, 1u);
+  EXPECT_EQ(stats.memo_hits, stats.fast_hits);
+  EXPECT_EQ(stats.incremental, 0u);
 }
 
 TEST(AdmissionServiceTest, CacheZeroDisablesEveryWarmPath) {
@@ -371,6 +369,31 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
   EXPECT_GE(stats.reloads, 1u);
   // The worker delta went through the guarded mode-change transition.
   EXPECT_FALSE(service.transition_log().empty());
+}
+
+TEST(AdmissionServiceTest, ReloadKeepingShardCountSwitchesAnalyzerAndCache) {
+  // Same shard count: the shard objects carry over, while the new default
+  // analyzer and the disabled memo apply to the next request.
+  ServiceConfig config;
+  config.workers = 2;
+  config.shards = 2;
+  AdmissionService service(config);
+  const std::string text = generate_taskset_text(28);
+  const std::string first =
+      submit_sync(service, submit_request(text, "a", /*analyzer=*/""));
+  EXPECT_EQ(util::parse_json(first).at("analyzer").as_string(),
+            "global-limited");
+
+  service.reload("global-baseline", std::nullopt, std::nullopt, std::nullopt,
+                 /*cache=*/0);
+  const std::string second =
+      submit_sync(service, submit_request(text, "b", /*analyzer=*/""));
+  const util::JsonValue doc = util::parse_json(second);
+  EXPECT_EQ(doc.at("analyzer").as_string(), "global-baseline");
+  EXPECT_EQ(doc.at("path").as_string(), "cold");
+  EXPECT_EQ(extract_member(second, "report") + "\n",
+            reference_report(text, "global-baseline"));
+  EXPECT_EQ(service.stats().cold, 2u);
 }
 
 TEST(AdmissionServiceTest, ThrowingDeliveryCallbackDoesNotWedgeDispatch) {
