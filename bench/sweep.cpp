@@ -44,10 +44,17 @@ namespace {
 
 using namespace rtpool;
 
+/// The run flags every figure reads.
+struct RunFlags {
+  int threads = 1;         ///< Engine workers (0 = all hardware threads).
+  std::uint64_t seed = 1;  ///< Root seed (forked per attempt).
+  int trials = 500;        ///< Accepted task sets per point.
+};
+
 /// What one point's evaluation reads: the flags and the shared engine.
 struct Sweep {
   const util::Args& args;
-  const bench::CommonFlags& flags;
+  const RunFlags& flags;
   exp::ExperimentEngine& engine;
 
   std::size_t count(const char* key, std::int64_t fallback) const {
@@ -685,15 +692,19 @@ int main(int argc, char** argv) {
   try {
     // Parse once against every figure's keys to find --figure (and serve
     // --list-analyzers), then against the chosen figure's own keys.
-    std::vector<std::string> all_keys = {"figure", "csv"};
+    const std::vector<std::string> run_keys = {"figure", "csv", "threads",
+                                               "trials"};
+    std::vector<std::string> all_keys = run_keys;
     for (const Figure& figure : kFigures)
       all_keys.insert(all_keys.end(), figure.keys.begin(), figure.keys.end());
     const Figure& figure = find_figure(
         bench::parse_args(argc, argv, all_keys).get_string("figure", ""));
-    std::vector<std::string> keys = {"figure", "csv"};
+    std::vector<std::string> keys = run_keys;
     keys.insert(keys.end(), figure.keys.begin(), figure.keys.end());
-    const util::Args args(argc, argv, bench::with_common_keys(keys));
-    const bench::CommonFlags flags = bench::common_flags(args, figure.trials);
+    const util::Args args = bench::parse_args(argc, argv, keys);
+    const RunFlags flags{static_cast<int>(args.get_int("threads", 1)),
+                         args.get_uint64("seed", 1),
+                         static_cast<int>(args.get_int("trials", figure.trials))};
     const std::vector<std::int64_t> xs = figure.x_values(args);
     const std::string csv_path =
         args.get_string("csv", std::string(figure.name) + ".csv");

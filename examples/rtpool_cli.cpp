@@ -278,14 +278,13 @@ int replay_witness_cli(const std::string& path) {
 
 int main(int argc, char** argv) {
   try {
-    // Shared bench flag plumbing: appends --seed/--threads/… and handles
-    // --list-analyzers (prints the registry, exits 0) like every driver.
+    // Shared with sweep: appends --seed and handles --list-analyzers
+    // (prints the registry, exits 0).
     const util::Args args = bench::parse_args(
         argc, argv,
         {"file", "save", "simulate", "dot", "generate", "m", "u", "scheduler",
          "json", "trace", "sensitivity", "analyzer", "certify", "format",
          "replay-witness"});
-    const bench::CommonFlags common = bench::common_flags(args);
     const std::string format = args.get_string("format", "text");
     if (format != "text" && format != "json")
       throw std::invalid_argument("--format must be text or json, got '" +
@@ -310,7 +309,7 @@ int main(int argc, char** argv) {
       params.task_count = static_cast<std::size_t>(args.get_int("generate", 4));
       params.total_utilization =
           args.get_double("u", 0.4 * static_cast<double>(params.cores));
-      util::Rng rng(common.seed);
+      util::Rng rng(args.get_uint64("seed", 1));
       ts = gen::generate_task_set(params, rng);
       if (!json_out)
         std::printf("generated %zu tasks (m=%zu, U=%.2f)\n", ts.size(),

@@ -187,8 +187,8 @@ class CorpusRunner {
 /// artifact, next to gap_analysis.csv).
 void write_gap_csv(const std::string& path, const CorpusResult& result);
 
-/// Render the machine-readable run summary consumed by
-/// `scripts/bench_report.py --corpus` (schema "rtpool-corpus-summary-v1").
+/// Render the machine-readable run summary (schema
+/// "rtpool-corpus-summary-v1", the corpus-smoke CI artifact).
 /// `wall_seconds` <= 0 omits throughput numbers (deterministic output for
 /// byte-identity diffs).
 std::string render_summary_json(const CorpusConfig& config,

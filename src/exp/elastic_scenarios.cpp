@@ -63,8 +63,6 @@ ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
     }
     if (tr.committed) ++out.committed;
     else ++out.rejected;
-    out.incremental_hits += tr.incremental_hits;
-    out.incremental_prefix += tr.incremental_prefix;
 
     // A transition is comparable when the analyzer actually ran: a
     // PROPOSE-stage reject (bogus evict, duplicate name, zero resize)

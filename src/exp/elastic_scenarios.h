@@ -53,8 +53,6 @@ struct ElasticReplay {
   std::vector<exec::ModeTransition> log;  ///< One entry per request.
   std::size_t committed = 0;
   std::size_t rejected = 0;
-  std::size_t incremental_hits = 0;    ///< Per-task fixed points copied.
-  std::size_t incremental_prefix = 0;  ///< Sum of copyable prefix lengths.
   /// Controller == cold verdict agreement over every analyzed proposal
   /// (always true when verify_cold was off or nothing was comparable).
   bool verdicts_agree = true;

@@ -1,6 +1,7 @@
 #include "lint/rules.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -110,13 +111,15 @@ bool check_graph_shape(const RawTask& task, const Adjacency& adj, LintReport& re
   }
 
   // RTP-T1: timing parameters.
-  if (!(task.period > 0.0))
+  if (!(task.period > 0.0) || !std::isfinite(task.period))
     emit(report, "RTP-T1", Severity::kError, name, std::nullopt,
-         "period must be > 0 (got " + std::to_string(task.period) + ")",
-         "set period=T with T > 0");
-  if (!(task.deadline > 0.0))
+         "period must be finite and > 0 (got " + std::to_string(task.period) +
+             ")",
+         "set period=T with a finite T > 0");
+  if (!(task.deadline > 0.0) || !std::isfinite(task.deadline))
     emit(report, "RTP-T1", Severity::kError, name, std::nullopt,
-         "deadline must be > 0 (got " + std::to_string(task.deadline) + ")",
+         "deadline must be finite and > 0 (got " +
+             std::to_string(task.deadline) + ")",
          "set deadline=D with 0 < D <= T");
   else if (task.period > 0.0 &&
            task.deadline > task.period * (1.0 + util::kTimeEps))
@@ -128,10 +131,11 @@ bool check_graph_shape(const RawTask& task, const Adjacency& adj, LintReport& re
   // RTP-T2: WCETs.
   bool any_positive = false;
   for (std::size_t v = 0; v < task.nodes.size(); ++v) {
-    if (task.nodes[v].wcet < 0.0)
+    if (!(task.nodes[v].wcet >= 0.0) || !std::isfinite(task.nodes[v].wcet))
       emit(report, "RTP-T2", Severity::kError, name, v,
-           "negative WCET " + std::to_string(task.nodes[v].wcet),
-           "WCETs must be >= 0");
+           "WCET must be finite and >= 0 (got " +
+               std::to_string(task.nodes[v].wcet) + ")",
+           "WCETs must be finite and >= 0");
     any_positive = any_positive || task.nodes[v].wcet > 0.0;
   }
   if (!any_positive)

@@ -13,9 +13,9 @@
 //     RTP-D6  task has no nodes
 //
 //   Timing / WCET sanity (Section 2 task parameters)
-//     RTP-T1  period or deadline non-positive, or D > T (constrained
-//             deadlines required)
-//     RTP-T2  negative WCET, or all WCETs zero
+//     RTP-T1  period or deadline non-positive or non-finite, or D > T
+//             (constrained deadlines required)
+//     RTP-T2  negative or non-finite WCET, or all WCETs zero
 //
 //   Structural restrictions on node types (Section 2, restrictions (i)-(iii))
 //     RTP-S1  malformed blocking region: BF without children, BF with no or

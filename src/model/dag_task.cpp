@@ -1,6 +1,7 @@
 #include "model/dag_task.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "graph/matching.h"
@@ -114,14 +115,17 @@ void DagTask::validate_params() const {
     throw ModelError(name_ + ": expected exactly one source node");
   if (sinks != 1)
     throw ModelError(name_ + ": expected exactly one sink node");
-  if (!(period_ > 0.0)) throw ModelError(name_ + ": period must be > 0");
-  if (!(deadline_ > 0.0)) throw ModelError(name_ + ": deadline must be > 0");
+  if (!(period_ > 0.0) || !std::isfinite(period_))
+    throw ModelError(name_ + ": period must be finite and > 0");
+  if (!(deadline_ > 0.0) || !std::isfinite(deadline_))
+    throw ModelError(name_ + ": deadline must be finite and > 0");
   if (deadline_ > period_ * (1.0 + util::kTimeEps))
     throw ModelError(name_ + ": constrained deadlines required (D <= T)");
   bool any_positive = false;
   for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    if (nodes_[v].wcet < 0.0)
-      throw ModelError(name_ + ": negative WCET on node " + std::to_string(v));
+    if (!(nodes_[v].wcet >= 0.0) || !std::isfinite(nodes_[v].wcet))
+      throw ModelError(name_ + ": WCET on node " + std::to_string(v) +
+                       " must be finite and >= 0");
     any_positive = any_positive || nodes_[v].wcet > 0.0;
   }
   if (!any_positive) throw ModelError(name_ + ": all WCETs are zero");

@@ -42,7 +42,7 @@ struct BlockingRegion {
 /// Validated invariants (throwing ModelError otherwise):
 ///  * the graph is a non-empty, weakly connected DAG with exactly one
 ///    source and one sink;
-///  * 0 < D <= T, all WCETs >= 0, at least one WCET > 0;
+///  * 0 < D <= T, all WCETs >= 0, at least one WCET > 0, all of them finite;
 ///  * every BF has exactly one matching BJ reachable through BC-only nodes,
 ///    every BJ/BC belongs to exactly one region;
 ///  * restrictions (i)-(iii): inner region nodes have no edges crossing the

@@ -1,6 +1,7 @@
 // TCP front end of the admission service: accept loop + per-connection
-// frame pumps, shared by the rtpool_serve daemon and the perf_serve load
-// bench (so the bench measures exactly the transport the daemon ships).
+// frame pumps, shared by the rtpool_serve daemon and the benchmark's serve
+// workloads (so the benchmark measures exactly the transport the daemon
+// ships).
 //
 // Each connection gets one reader thread: it decodes framed request
 // documents and submits them to the AdmissionService; responses are framed

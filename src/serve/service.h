@@ -41,8 +41,8 @@
 //
 // Every response's "report" member is rendered through the same
 // lint::render_json as rtpool_cli --format=json, so service verdicts are
-// byte-identical to the CLI on the same input (asserted by perf_serve and
-// the serve-smoke CI job).
+// byte-identical to the CLI on the same input (asserted by the benchmark's
+// serve workloads, tests/test_serve.cpp and the serve-smoke CI job).
 //
 // HOT RECONFIGURATION. reload() builds the next ServiceConfig, pauses
 // dispatch scheduling, waits for the in-flight dispatch closures to finish

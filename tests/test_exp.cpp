@@ -151,6 +151,7 @@ TEST(ExperimentEngineTest, ResultsAreThreadCountInvariant) {
     config.gen.total_utilization = 2.0;
     config.filter_baseline = filter;
     config.trials = 30;
+    config.certify_sample = 10;
     const util::Rng rng(7);
 
     ExperimentEngine sequential(1);
@@ -158,6 +159,10 @@ TEST(ExperimentEngineTest, ResultsAreThreadCountInvariant) {
     const PointResult a = sequential.evaluate_point(global_pair(), config, rng);
     const PointResult b = parallel4.evaluate_point(global_pair(), config, rng);
     EXPECT_EQ(a.accepted, 30u);
+    // The sampled certificates all pass the independent checker; a == b
+    // also pins the sampled counts across thread counts.
+    EXPECT_GT(a.certified, 0u);
+    EXPECT_EQ(a.cert_failures, 0u);
     EXPECT_TRUE(a == b) << "filter=" << filter;
     ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
     for (std::size_t i = 0; i < a.verdicts.size(); ++i)
@@ -176,6 +181,7 @@ TEST(ExperimentEngineTest, PartitionedArmIsThreadCountInvariant) {
   config.gen.task_count = 2;
   config.gen.total_utilization = 1.0;
   config.trials = 10;
+  config.certify_sample = 5;
   const util::Rng rng(11);
   ExperimentEngine sequential(1);
   ExperimentEngine parallel3(3, /*clamp_to_hardware=*/false);
@@ -183,6 +189,8 @@ TEST(ExperimentEngineTest, PartitionedArmIsThreadCountInvariant) {
       sequential.evaluate_point(partitioned_pair(), config, rng);
   const PointResult b =
       parallel3.evaluate_point(partitioned_pair(), config, rng);
+  EXPECT_GT(a.certified, 0u);
+  EXPECT_EQ(a.cert_failures, 0u);
   EXPECT_TRUE(a == b);
 }
 

@@ -2,6 +2,8 @@
 // (negative) fixture per rule family, plus renderer round-trips.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "lint/render.h"
@@ -193,6 +195,23 @@ TEST(LintTimingTest, T1BadPeriodAndDeadline) {
   const auto diags = report.by_rule("RTP-T1");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0].message.find("exceeds period"), std::string::npos);
+
+  // Non-finite timing is an RTP-T1 error on the task, caught before the
+  // model's own validation (no RTP-X1 fallback).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf}) {
+    RawTask p = chain_task("bad_p", 2);
+    p.period = bad;
+    RawTask d = chain_task("bad_d", 2);
+    d.deadline = bad;
+    for (const RawTask& task : {p, d}) {
+      const LintReport r = lint::run_lint(single(task));
+      const auto t1 = r.by_rule("RTP-T1");
+      ASSERT_FALSE(t1.empty()) << task.name << " " << bad;
+      EXPECT_EQ(t1[0].task, task.name);
+      EXPECT_FALSE(fired(r, "RTP-X1")) << task.name << " " << bad;
+    }
+  }
 }
 
 TEST(LintTimingTest, T2NegativeAndAllZeroWcet) {
@@ -205,6 +224,18 @@ TEST(LintTimingTest, T2NegativeAndAllZeroWcet) {
   RawTask u = chain_task("zero", 2);
   u.nodes[0].wcet = u.nodes[1].wcet = 0.0;
   EXPECT_TRUE(fired(lint::run_lint(single(u)), "RTP-T2"));
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf}) {
+    RawTask w = chain_task("non_finite", 3);
+    w.nodes[1].wcet = bad;
+    const LintReport r = lint::run_lint(single(w));
+    const auto t2 = r.by_rule("RTP-T2");
+    ASSERT_EQ(t2.size(), 1u) << bad;
+    EXPECT_EQ(t2[0].task, "non_finite");
+    EXPECT_EQ(t2[0].node, std::optional<std::size_t>(1));
+    EXPECT_FALSE(fired(r, "RTP-X1")) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 // regions, TaskSet, builder (incl. source/sink normalization).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "model/builder.h"
 #include "model/dag_task.h"
 #include "model/node.h"
@@ -104,6 +108,14 @@ TEST(DagTaskTest, RejectsBadTiming) {
   EXPECT_THROW(DagTask("bad", d, nodes, 0.0, 0.0), ModelError);
   EXPECT_THROW(DagTask("bad", d, nodes, 10.0, 20.0), ModelError);  // D > T
   EXPECT_THROW(DagTask("bad", d, nodes, 10.0, 0.0), ModelError);
+  // Non-finite periods and deadlines: NaN fails every comparison and +inf
+  // passes `> 0`, so each needs the finiteness check.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf}) {
+    EXPECT_THROW(DagTask("bad", d, nodes, bad, 10.0), ModelError) << bad;
+    EXPECT_THROW(DagTask("bad", d, nodes, 10.0, bad), ModelError) << bad;
+    EXPECT_THROW(DagTask("bad", d, nodes, bad, bad), ModelError) << bad;
+  }
 }
 
 TEST(DagTaskTest, RejectsNegativeOrAllZeroWcet) {
@@ -113,6 +125,18 @@ TEST(DagTaskTest, RejectsNegativeOrAllZeroWcet) {
   EXPECT_THROW(DagTask("bad", d, neg, 10, 10), ModelError);
   std::vector<Node> zero{{0.0, NodeType::NB}, {0.0, NodeType::NB}};
   EXPECT_THROW(DagTask("bad", d, zero, 10, 10), ModelError);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf}) {
+    std::vector<Node> non_finite{{1.0, NodeType::NB}, {bad, NodeType::NB}};
+    try {
+      DagTask("bad_task", d, non_finite, 10, 10);
+      ADD_FAILURE() << "WCET " << bad << " accepted";
+    } catch (const ModelError& e) {
+      // The message names the task and the node.
+      EXPECT_NE(std::string(e.what()).find("bad_task"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos);
+    }
+  }
 }
 
 TEST(DagTaskTest, RejectsUnpairedFork) {

@@ -299,7 +299,22 @@ TEST(AdmissionServiceTest, InvalidSubmissionsGetErrorResponses) {
         submit_request(generate_taskset_text(24), "bad2", "no-such-analyzer"));
     EXPECT_FALSE(util::parse_json(response).at("ok").as_bool());
   }
-  EXPECT_EQ(service.stats().errors, 2u);
+  {
+    // A NaN WCET fails every comparison, so only the model's finiteness
+    // check stops it; the error names the task.
+    std::string text = generate_taskset_text(24);
+    const std::size_t name_at = text.find("task name=") + 10;
+    const std::string task_name =
+        text.substr(name_at, text.find(' ', name_at) - name_at);
+    const std::size_t wcet_at = text.find("wcet=", name_at) + 5;
+    text.replace(wcet_at, text.find(' ', wcet_at) - wcet_at, "nan");
+    const util::JsonValue doc =
+        util::parse_json(submit_sync(service, submit_request(text, "bad3")));
+    EXPECT_FALSE(doc.at("ok").as_bool());
+    EXPECT_NE(doc.at("error").as_string().find(task_name), std::string::npos)
+        << doc.at("error").as_string();
+  }
+  EXPECT_EQ(service.stats().errors, 3u);
 }
 
 TEST(AdmissionServiceTest, ShutdownRejectsNewSubmissions) {
@@ -326,14 +341,28 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
   for (std::uint64_t seed = 30; seed < 34; ++seed)
     texts.push_back(generate_taskset_text(seed));
 
+  // Every report must be byte-identical to a fresh-context analysis,
+  // whichever epoch served it.
+  std::vector<std::string> references;
+  for (const std::string& text : texts)
+    references.push_back(reference_report(text, "global-limited"));
+
   constexpr int kRequests = 120;
   std::atomic<int> answered{0};
   std::atomic<int> failed{0};
+  std::atomic<int> mismatched{0};
   std::mutex done_mutex;
   std::condition_variable done_cv;
   const auto on_response = [&](const std::string& response) {
-    if (!util::parse_json(response).at("ok").as_bool())
+    const util::JsonValue doc = util::parse_json(response);
+    if (!doc.at("ok").as_bool()) {
       failed.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      const std::size_t i = std::stoul(doc.at("id").as_string().substr(1));
+      if (extract_member(response, "report") + "\n" !=
+          references[i % references.size()])
+        mismatched.fetch_add(1, std::memory_order_relaxed);
+    }
     if (answered.fetch_add(1, std::memory_order_relaxed) + 1 == kRequests) {
       std::lock_guard<std::mutex> lock(done_mutex);
       done_cv.notify_all();
@@ -362,6 +391,7 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
     return answered.load(std::memory_order_relaxed) == kRequests;
   })) << "only " << answered.load() << "/" << kRequests << " answered";
   EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatched.load(), 0);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.received, static_cast<std::uint64_t>(kRequests));
