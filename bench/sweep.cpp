@@ -33,7 +33,6 @@
 #include "analysis/priority_assignment.h"
 #include "analysis/rta_context.h"
 #include "bench_common.h"
-#include "exp/necessity.h"
 #include "exp/schedulability.h"
 #include "gen/taskset_generator.h"
 #include "sim/engine.h"
@@ -531,14 +530,16 @@ Row gap_analysis(const Sweep& s, std::int64_t u_percent) {
         Verdicts v;
         analysis::RtaContext ctx(ts);
         v.glob_analysis = global_a.analyze(ts, ctx).schedulable;
-        v.glob_sim = exp::passes_simulation(ts, exp::SimPolicy::kGlobal, std::nullopt);
+        v.glob_sim = sim::oracle_verdict(ts, sim::OracleOptions{}).safe();
         const auto partition = part_a.make_partition(ts);
         if (partition.success()) {
           analysis::AnalyzerOptions opts;
           opts.partition = &*partition.partition;
           v.part_analysis = part_a.analyze(ts, ctx, opts).schedulable;
-          v.part_sim = exp::passes_simulation(ts, exp::SimPolicy::kPartitioned,
-                                              *partition.partition);
+          sim::OracleOptions oracle;
+          oracle.policy = sim::SchedulingPolicy::kPartitioned;
+          oracle.partition = *partition.partition;
+          v.part_sim = sim::oracle_verdict(ts, oracle).safe();
         }
         return v;
       },

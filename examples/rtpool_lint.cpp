@@ -38,7 +38,7 @@ void usage(std::ostream& os) {
 int main(int argc, char** argv) {
   using namespace rtpool;
 
-  lint::LintOptions options;
+  lint::PartitionSource partition_source = lint::PartitionSource::kNone;
   std::string path;
   std::string format;
   try {
@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
                                   format + "'");
     const std::string partition = args.get_string("partition", "none");
     if (partition == "none")
-      options.partition_source = lint::PartitionSource::kNone;
+      partition_source = lint::PartitionSource::kNone;
     else if (partition == "worst-fit")
-      options.partition_source = lint::PartitionSource::kWorstFit;
+      partition_source = lint::PartitionSource::kWorstFit;
     else if (partition == "algorithm1")
-      options.partition_source = lint::PartitionSource::kAlgorithm1;
+      partition_source = lint::PartitionSource::kAlgorithm1;
     else
       throw std::invalid_argument(
           "--partition must be 'none', 'worst-fit' or 'algorithm1', got '" +
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   lint::LintReport report;
   try {
-    report = lint::run_lint(lint::load_raw_task_set(path), options);
+    report = lint::run_lint(model::load_raw_task_set(path), partition_source);
   } catch (const model::ParseError& e) {
     // File-format errors (not model defects) cannot be linted around.
     std::cerr << "rtpool_lint: " << path << ": " << e.what() << "\n";

@@ -268,12 +268,19 @@ struct RunState : std::enable_shared_from_this<RunState> {
         {
           // Wait for the region on a condition variable: the worker is
           // suspended and unavailable — the paper's reduced concurrency.
-          ThreadPool::BlockedScope blocked(self->pool);
+          // It counts as blocked only after checking the barrier under the
+          // mutex, so whoever sees it blocked and then opens the barrier
+          // notifies a worker that is already asleep.
           util::MutexLock lock(self->mutex);
           self->regions[region].phase = RegionRt::Phase::kWaiting;
-          while (!self->cancelled &&
-                 self->preds_left[join].load(std::memory_order_acquire) != 0)
+          bool shut = !self->cancelled &&
+                      self->preds_left[join].load(std::memory_order_acquire) != 0;
+          ThreadPool::BlockedScope blocked(self->pool);
+          while (shut) {
             self->barrier_cv.wait(self->mutex);
+            shut = !self->cancelled &&
+                   self->preds_left[join].load(std::memory_order_acquire) != 0;
+          }
           if (self->cancelled) return;
           self->regions[region].phase = RegionRt::Phase::kDone;
         }

@@ -105,23 +105,25 @@ util::Time total_weight(const std::vector<util::Time>& weights) {
   return std::accumulate(weights.begin(), weights.end(), util::Time{0.0});
 }
 
-bool is_weakly_connected(const Dag& dag) {
-  const std::size_t n = dag.size();
-  if (n <= 1) return true;
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> stack{0};
-  seen[0] = true;
-  std::size_t visited = 0;
+std::vector<bool> weak_component(const Dag& dag, NodeId root) {
+  std::vector<bool> seen(dag.size(), false);
+  std::vector<NodeId> stack{root};
+  seen.at(root) = true;
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    ++visited;
     for (NodeId w : dag.successors(v))
       if (!seen[w]) { seen[w] = true; stack.push_back(w); }
     for (NodeId w : dag.predecessors(v))
       if (!seen[w]) { seen[w] = true; stack.push_back(w); }
   }
-  return visited == n;
+  return seen;
+}
+
+bool is_weakly_connected(const Dag& dag) {
+  if (dag.size() <= 1) return true;
+  const std::vector<bool> seen = weak_component(dag, 0);
+  return std::find(seen.begin(), seen.end(), false) == seen.end();
 }
 
 }  // namespace rtpool::graph

@@ -49,6 +49,10 @@ std::vector<util::Time> longest_path_to(const Dag& dag,
 /// Sum of all node weights (the paper's vol(τ) with weights = WCETs).
 util::Time total_weight(const std::vector<util::Time>& weights);
 
+/// Per node: joined to `root` when edge direction is ignored (the weakly
+/// connected component of `root`).
+std::vector<bool> weak_component(const Dag& dag, NodeId root);
+
 /// True if `dag` is weakly connected (ignoring edge direction). The empty
 /// graph and singleton graphs are connected.
 bool is_weakly_connected(const Dag& dag);

@@ -4,6 +4,11 @@
 // well-formedness requirement the paper's model assumes). Rule ids are
 // stable API; tools may filter on them.
 //
+// The D, T and S families are the Section 2 model itself: the model's
+// checker (model/check.h) decides them, for lint and for DagTask alike, and
+// lint only maps each defect kind to its rule id and fix hint. Tasks free
+// of D/T/S errors become DagTasks for the L, P and C families.
+//
 //   DAG well-formedness (Section 2 model assumptions)
 //     RTP-D1  graph has a cycle (self-loops included); the cycle is printed
 //     RTP-D2  duplicate edge
@@ -31,7 +36,7 @@
 //             concurrent forks exist, so the deadlock actually manifests
 //             under global work-conserving scheduling; the cycle is printed
 //     RTP-L3  Lemma 3 / Eq. (3): a BC node shares its pool thread with a
-//             BF in C(v) ∪ {F(v)} under the given/computed partition
+//             BF in C(v) ∪ {F(v)} under the computed partition
 //
 //   Pool sizing (Sections 3.1, 4.1)
 //     RTP-P1  l̄(τ) = m − b̄(τ) ≤ 0: zero guaranteed concurrency, the
@@ -42,44 +47,24 @@
 //   Cross-task consistency (Section 2 task-set / pool assignment)
 //     RTP-C1  duplicate task names
 //     RTP-C2  task priorities not pairwise distinct (warning)
-//     RTP-C3  partition shape inconsistent with the task set (missing
-//             per-task assignment, wrong length, thread id ≥ m)
 //     RTP-C4  total utilization exceeds m (warning: trivially unschedulable)
-//
-//   Internal
-//     RTP-X1  model validation failed for a reason the structural rules did
-//             not classify (safety net; please report)
 #pragma once
 
-#include <optional>
-
-#include "analysis/partition.h"
 #include "lint/diagnostics.h"
-#include "lint/raw_model.h"
+#include "model/io.h"
 
 namespace rtpool::lint {
 
 /// Where the node-to-thread partition for the Lemma 3 rules comes from.
 enum class PartitionSource {
-  kNone,        ///< Skip RTP-L3/RTP-C3/RTP-P3 (global-scheduling lint only).
+  kNone,        ///< Skip RTP-L3/RTP-P3 (global-scheduling lint only).
   kWorstFit,    ///< Compute the Section 5 worst-fit baseline placement.
   kAlgorithm1,  ///< Compute the paper's Algorithm 1 placement.
-  kProvided,    ///< Use LintOptions::partition as-is.
 };
 
-struct LintOptions {
-  PartitionSource partition_source = PartitionSource::kNone;
-  /// Consulted only with PartitionSource::kProvided.
-  std::optional<analysis::TaskSetPartition> partition;
-};
-
-/// Run every applicable rule over a raw (possibly broken) model. Structural
-/// rules (D/T/S families) run on the raw form; tasks that pass them are
-/// promoted to validated DagTasks for the semantic rules (L/P/C families).
-/// Never throws on model defects — that is the point.
-LintReport run_lint(const RawTaskSet& raw, const LintOptions& options = {});
-
-/// Lint an already-validated task set (structural rules pass trivially).
-LintReport run_lint(const model::TaskSet& ts, const LintOptions& options = {});
+/// Run every applicable rule over a model as read (model::read_raw_task_set),
+/// however broken. Never throws on model defects — that is the point.
+LintReport run_lint(const model::RawTaskSet& raw,
+                    PartitionSource partition = PartitionSource::kNone);
 
 }  // namespace rtpool::lint

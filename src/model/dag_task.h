@@ -8,19 +8,18 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/dag.h"
 #include "graph/reachability.h"
+#include "model/check.h"
 #include "model/node.h"
-#include "util/bitset.h"
 #include "util/time.h"
 
 namespace rtpool::model {
-
-using graph::NodeId;
 
 /// Thrown when a task violates the structural model of Section 2.
 class ModelError : public std::invalid_argument {
@@ -28,18 +27,14 @@ class ModelError : public std::invalid_argument {
   explicit ModelError(const std::string& what) : std::invalid_argument(what) {}
 };
 
-/// One blocking region: the sub-graph delimited by a (BF, BJ) pair.
-///
-/// `members` holds the *inner* nodes (type BC), excluding the delimiters.
-struct BlockingRegion {
-  NodeId fork;                 ///< The BF node.
-  NodeId join;                 ///< The matching BJ node.
-  util::DynamicBitset members; ///< Inner BC nodes of the region.
-};
+/// The defect sink that validates: throws ModelError("<task>: <message>")
+/// on the first defect. `task` must outlive the sink.
+DefectSink model_error_sink(const std::string& task);
 
 /// Immutable DAG task.
 ///
-/// Validated invariants (throwing ModelError otherwise):
+/// Validated invariants, decided by check_task (model/check.h); the first
+/// defect throws ModelError("<name>: <defect message>"):
 ///  * the graph is a non-empty, weakly connected DAG with exactly one
 ///    source and one sink;
 ///  * 0 < D <= T, all WCETs >= 0, at least one WCET > 0, all of them finite;
@@ -99,14 +94,16 @@ class DagTask {
   /// The critical path itself (node sequence source..sink).
   const std::vector<NodeId>& critical_path() const { return critical_path_.path; }
 
-  NodeId source() const { return source_; }
-  NodeId sink() const { return sink_; }
+  NodeId source() const { return structure_.source; }
+  NodeId sink() const { return structure_.sink; }
 
   /// Cached transitive closure (the paper's transitive pred/succ sets).
   const graph::Reachability& reachability() const { return reach_; }
 
-  /// All blocking regions, in topological order of their BF nodes.
-  const std::vector<BlockingRegion>& blocking_regions() const { return regions_; }
+  /// All blocking regions, one per BF node in id order.
+  const std::vector<BlockingRegion>& blocking_regions() const {
+    return structure_.regions;
+  }
 
   /// Region that node v participates in:
   ///  * for a BF/BJ delimiter: its own region;
@@ -127,7 +124,7 @@ class DagTask {
   std::vector<NodeId> nodes_of_type(NodeType t) const;
 
   /// Number of BF nodes in the task.
-  std::size_t blocking_fork_count() const { return regions_.size(); }
+  std::size_t blocking_fork_count() const { return structure_.regions.size(); }
 
   /// b̄(τ) = max_v |X(v)| (Section 3.1): the largest number of blocking
   /// forks whose suspension can affect a single node. Cached at
@@ -149,7 +146,7 @@ class DagTask {
   /// doubles as the acyclicity proof). Every downstream consumer — the
   /// closure build, the critical path, the RTA fixed-point sweeps — reads
   /// this instead of re-running Kahn.
-  const std::vector<NodeId>& topo_order() const { return topo_; }
+  const std::vector<NodeId>& topo_order() const { return structure_.topo; }
 
   /// Replace the priority (used by priority-assignment policies); all other
   /// state is immutable. The rvalue overload moves instead of copying the
@@ -165,10 +162,6 @@ class DagTask {
           std::optional<graph::Reachability> reach,
           std::optional<std::vector<NodeId>> topo);
 
-  void validate_shape() const;
-  void validate_params() const;
-  void build_regions();
-  void validate_regions() const;
   void compute_concurrency_caches();
 
   std::string name_;
@@ -180,14 +173,10 @@ class DagTask {
 
   // Derived caches.
   std::vector<util::Time> wcets_;
-  std::vector<NodeId> topo_;
+  TaskStructure structure_;  ///< Topological order, source, sink, regions.
   graph::Reachability reach_;
   graph::LongestPathResult critical_path_;
   util::Time volume_ = 0.0;
-  NodeId source_ = 0;
-  NodeId sink_ = 0;
-  std::vector<BlockingRegion> regions_;
-  std::vector<std::optional<std::size_t>> region_index_;  ///< per node
   std::size_t max_affecting_forks_ = 0;
   std::size_t max_suspension_antichain_ = 0;
 };

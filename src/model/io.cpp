@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 namespace rtpool::model {
@@ -55,7 +56,150 @@ long to_long(const std::string& s, int lineno) {
   }
 }
 
+/// The .taskset tokenizer: reports the header's core count to `on_header`
+/// and hands each task to `on_task` at its `endtask` line.
+template <typename OnHeader, typename OnTask>
+void tokenize(std::istream& is, OnHeader&& on_header, OnTask&& on_task) {
+  bool saw_header = false;
+  bool in_task = false;
+  RawTask current;
+  std::size_t declared_nodes = 0;
+
+  std::string raw;
+  int lineno = 0;
+  while (std::getline(is, raw)) {
+    ++lineno;
+    std::istringstream line(raw);
+    std::string keyword;
+    if (!(line >> keyword)) continue;     // blank line
+    if (keyword[0] == '#') continue;      // comment
+
+    if (keyword == "taskset") {
+      if (saw_header)
+        throw ParseError("line " + std::to_string(lineno) + ": duplicate 'taskset'");
+      const auto kv = parse_kv(line, lineno);
+      const long cores = to_long(require(kv, "cores", lineno), lineno);
+      if (cores <= 0)
+        throw ParseError("line " + std::to_string(lineno) + ": cores must be > 0");
+      on_header(static_cast<std::size_t>(cores));
+      saw_header = true;
+    } else if (keyword == "task") {
+      if (!saw_header)
+        throw ParseError("line " + std::to_string(lineno) + ": 'task' before 'taskset'");
+      if (in_task)
+        throw ParseError("line " + std::to_string(lineno) + ": nested 'task'");
+      const auto kv = parse_kv(line, lineno);
+      current.name = require(kv, "name", lineno);
+      current.period = to_double(require(kv, "period", lineno), lineno);
+      current.deadline = to_double(require(kv, "deadline", lineno), lineno);
+      current.priority = static_cast<int>(to_long(require(kv, "priority", lineno), lineno));
+      declared_nodes = static_cast<std::size_t>(to_long(require(kv, "nodes", lineno), lineno));
+      in_task = true;
+    } else if (keyword == "node") {
+      if (!in_task)
+        throw ParseError("line " + std::to_string(lineno) + ": 'node' outside task");
+      long id = 0;
+      if (!(line >> id))
+        throw ParseError("line " + std::to_string(lineno) + ": missing node id");
+      if (id != static_cast<long>(current.nodes.size()))
+        throw ParseError("line " + std::to_string(lineno) +
+                         ": node ids must be dense and in order");
+      const auto kv = parse_kv(line, lineno);
+      Node n;
+      n.wcet = to_double(require(kv, "wcet", lineno), lineno);
+      try {
+        n.type = node_type_from_string(require(kv, "type", lineno));
+      } catch (const std::invalid_argument& e) {
+        throw ParseError("line " + std::to_string(lineno) + ": " + e.what());
+      }
+      current.nodes.push_back(n);
+    } else if (keyword == "edge") {
+      if (!in_task)
+        throw ParseError("line " + std::to_string(lineno) + ": 'edge' outside task");
+      long from = 0;
+      long to = 0;
+      if (!(line >> from >> to))
+        throw ParseError("line " + std::to_string(lineno) + ": edge needs two node ids");
+      if (from < 0 || to < 0 || static_cast<std::size_t>(from) >= current.nodes.size() ||
+          static_cast<std::size_t>(to) >= current.nodes.size())
+        throw ParseError("line " + std::to_string(lineno) + ": edge id out of range");
+      // Self-loops and duplicate edges are model defects, not syntax.
+      current.edges.push_back(
+          RawEdge{static_cast<std::size_t>(from), static_cast<std::size_t>(to)});
+    } else if (keyword == "endtask") {
+      if (!in_task)
+        throw ParseError("line " + std::to_string(lineno) + ": stray 'endtask'");
+      if (current.nodes.size() != declared_nodes)
+        throw ParseError("line " + std::to_string(lineno) + ": task '" + current.name +
+                         "' declared " + std::to_string(declared_nodes) +
+                         " nodes but has " + std::to_string(current.nodes.size()));
+      in_task = false;
+      on_task(std::exchange(current, RawTask{}));
+    } else {
+      throw ParseError("line " + std::to_string(lineno) + ": unknown keyword '" +
+                       keyword + "'");
+    }
+  }
+  if (in_task)
+    throw ParseError("unexpected end of input inside task '" + current.name + "'");
+  if (!saw_header) throw ParseError("input contains no 'taskset' header");
+}
+
+/// A raw task's edges as a graph::Dag, plus the ones a Dag cannot hold.
+struct SplitEdges {
+  graph::Dag dag;
+  std::vector<NodeId> self_loops;
+  std::vector<graph::Edge> duplicates;
+
+  TaskDraft draft(const RawTask& task) const {
+    return TaskDraft{dag, task.nodes, task.period, task.deadline, self_loops, duplicates};
+  }
+};
+
+SplitEdges split_edges(const RawTask& task) {
+  SplitEdges split{graph::Dag(task.nodes.size()), {}, {}};
+  for (const RawEdge& e : task.edges) {
+    const auto from = static_cast<NodeId>(e.from);
+    const auto to = static_cast<NodeId>(e.to);
+    if (from == to)
+      split.self_loops.push_back(from);
+    else if (split.dag.has_edge(from, to))
+      split.duplicates.push_back(graph::Edge{from, to});
+    else
+      split.dag.add_edge_unchecked(from, to);
+  }
+  return split;
+}
+
 }  // namespace
+
+RawTaskSet read_raw_task_set(std::istream& is) {
+  RawTaskSet raw;
+  tokenize(
+      is, [&](std::size_t cores) { raw.cores = cores; },
+      [&](RawTask&& task) { raw.tasks.push_back(std::move(task)); });
+  return raw;
+}
+
+RawTaskSet load_raw_task_set(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("load_raw_task_set: cannot open " + path);
+  return read_raw_task_set(in);
+}
+
+void check_raw_task(const RawTask& task, const DefectSink& report) {
+  const SplitEdges split = split_edges(task);
+  check_task(split.draft(task), report);
+}
+
+DagTask build_task(RawTask task) {
+  SplitEdges split = split_edges(task);
+  // The checker reports the self-loop or duplicate edge at the latest.
+  if (!split.self_loops.empty() || !split.duplicates.empty())
+    check_task(split.draft(task), model_error_sink(task.name));
+  return DagTask(std::move(task.name), std::move(split.dag), std::move(task.nodes),
+                 task.period, task.deadline, task.priority);
+}
 
 void write_task_set(std::ostream& os, const TaskSet& ts) {
   os << "# rtpool task set\n";
@@ -83,100 +227,9 @@ void save_task_set(const std::string& path, const TaskSet& ts) {
 
 TaskSet read_task_set(std::istream& is) {
   std::optional<TaskSet> ts;
-
-  // Per-task accumulation state.
-  bool in_task = false;
-  std::string task_name;
-  double period = 0.0;
-  double deadline = 0.0;
-  int priority = 0;
-  std::size_t declared_nodes = 0;
-  graph::Dag dag;
-  std::vector<Node> nodes;
-
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(is, raw)) {
-    ++lineno;
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;     // blank line
-    if (keyword[0] == '#') continue;      // comment
-
-    if (keyword == "taskset") {
-      if (ts.has_value())
-        throw ParseError("line " + std::to_string(lineno) + ": duplicate 'taskset'");
-      const auto kv = parse_kv(line, lineno);
-      const long cores = to_long(require(kv, "cores", lineno), lineno);
-      if (cores <= 0)
-        throw ParseError("line " + std::to_string(lineno) + ": cores must be > 0");
-      ts.emplace(static_cast<std::size_t>(cores));
-    } else if (keyword == "task") {
-      if (!ts.has_value())
-        throw ParseError("line " + std::to_string(lineno) + ": 'task' before 'taskset'");
-      if (in_task)
-        throw ParseError("line " + std::to_string(lineno) + ": nested 'task'");
-      const auto kv = parse_kv(line, lineno);
-      task_name = require(kv, "name", lineno);
-      period = to_double(require(kv, "period", lineno), lineno);
-      deadline = to_double(require(kv, "deadline", lineno), lineno);
-      priority = static_cast<int>(to_long(require(kv, "priority", lineno), lineno));
-      declared_nodes = static_cast<std::size_t>(to_long(require(kv, "nodes", lineno), lineno));
-      dag = graph::Dag();
-      nodes.clear();
-      in_task = true;
-    } else if (keyword == "node") {
-      if (!in_task)
-        throw ParseError("line " + std::to_string(lineno) + ": 'node' outside task");
-      long id = 0;
-      if (!(line >> id))
-        throw ParseError("line " + std::to_string(lineno) + ": missing node id");
-      if (id != static_cast<long>(nodes.size()))
-        throw ParseError("line " + std::to_string(lineno) +
-                         ": node ids must be dense and in order");
-      const auto kv = parse_kv(line, lineno);
-      Node n;
-      n.wcet = to_double(require(kv, "wcet", lineno), lineno);
-      try {
-        n.type = node_type_from_string(require(kv, "type", lineno));
-      } catch (const std::invalid_argument& e) {
-        throw ParseError("line " + std::to_string(lineno) + ": " + e.what());
-      }
-      dag.add_node();
-      nodes.push_back(n);
-    } else if (keyword == "edge") {
-      if (!in_task)
-        throw ParseError("line " + std::to_string(lineno) + ": 'edge' outside task");
-      long from = 0;
-      long to = 0;
-      if (!(line >> from >> to))
-        throw ParseError("line " + std::to_string(lineno) + ": edge needs two node ids");
-      if (from < 0 || to < 0 || static_cast<std::size_t>(from) >= nodes.size() ||
-          static_cast<std::size_t>(to) >= nodes.size())
-        throw ParseError("line " + std::to_string(lineno) + ": edge id out of range");
-      try {
-        dag.add_edge(static_cast<graph::NodeId>(from), static_cast<graph::NodeId>(to));
-      } catch (const std::invalid_argument& e) {
-        // Self-loops / duplicate edges are structural input errors.
-        throw ParseError("line " + std::to_string(lineno) + ": " + e.what());
-      }
-    } else if (keyword == "endtask") {
-      if (!in_task)
-        throw ParseError("line " + std::to_string(lineno) + ": stray 'endtask'");
-      if (nodes.size() != declared_nodes)
-        throw ParseError("line " + std::to_string(lineno) + ": task '" + task_name +
-                         "' declared " + std::to_string(declared_nodes) +
-                         " nodes but has " + std::to_string(nodes.size()));
-      ts->add(DagTask(task_name, std::move(dag), std::move(nodes), period, deadline,
-                      priority));
-      in_task = false;
-    } else {
-      throw ParseError("line " + std::to_string(lineno) + ": unknown keyword '" +
-                       keyword + "'");
-    }
-  }
-  if (in_task) throw ParseError("unexpected end of input inside task '" + task_name + "'");
-  if (!ts.has_value()) throw ParseError("input contains no 'taskset' header");
+  tokenize(
+      is, [&](std::size_t cores) { ts.emplace(cores); },
+      [&](RawTask&& task) { ts->add(build_task(std::move(task))); });
   return *std::move(ts);
 }
 

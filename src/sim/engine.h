@@ -138,9 +138,9 @@ SimResult simulate(const model::TaskSet& ts, const SimConfig& config);
 // Analysis is sufficient, simulation is necessary: an analysis that accepts
 // a set which the simulator then runs into a deadline miss or a deadlock is
 // UNSOUND (the safety direction). oracle_verdict condenses a run into the
-// structured verdict the corpus runner, the CLI `--simulate` view, and
-// witness replay all consume, with a handle on the full result (trace
-// included when requested) for the first violation.
+// structured verdict the corpus runner, the CLI `--simulate` view, witness
+// replay and the gap_analysis sweep all consume, with a handle on the full
+// result (trace included when requested) for the first violation.
 // ---------------------------------------------------------------------------
 
 enum class SimOutcome : unsigned char {
@@ -160,7 +160,7 @@ struct OracleOptions {
   /// Required when policy == kPartitioned.
   std::optional<analysis::TaskSetPartition> partition;
   /// Horizon = windows * max period (>= 1 job of every task; 4 windows
-  /// catches backlog-induced misses, matching exp::NecessityOptions).
+  /// catches backlog-induced misses).
   double windows = 4.0;
   bool work_stealing = false;
   /// Record the full execution trace in the attached result (memory!).

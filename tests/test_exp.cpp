@@ -8,10 +8,10 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/partition.h"
-#include "exp/necessity.h"
 #include "exp/report_json.h"
 #include "exp/schedulability.h"
 #include "model/builder.h"
+#include "sim/engine.h"
 #include "util/json.h"
 
 namespace rtpool::exp {
@@ -332,46 +332,18 @@ TEST(ShardedRunnerTest, WorkerCountClampsToHardware) {
   EXPECT_TRUE(a == b);
 }
 
-TEST(NecessityTest, EasySetPasses) {
-  EXPECT_TRUE(passes_simulation(easy_set(), SimPolicy::kGlobal, std::nullopt));
-}
-
-TEST(NecessityTest, OverloadFailsAndJitterScenariosRun) {
-  // U > m: some job must miss in the synchronous scenario.
-  TaskSet ts(1);
-  {
-    DagTaskBuilder b("a");
-    b.add_node(8.0);
-    b.period(10.0).priority(0);
-    ts.add(b.build());
-  }
-  {
-    DagTaskBuilder b("c");
-    b.add_node(8.0);
-    b.period(10.0).priority(1);
-    ts.add(b.build());
-  }
-  EXPECT_FALSE(passes_simulation(ts, SimPolicy::kGlobal, std::nullopt));
-
-  NecessityOptions options;
-  options.jitter_scenarios = 3;
-  EXPECT_FALSE(passes_simulation(ts, SimPolicy::kGlobal, std::nullopt, options));
-}
-
-TEST(NecessityTest, DeadlockCountsAsFailure) {
-  EXPECT_FALSE(passes_simulation(limited_only_set(), SimPolicy::kGlobal,
-                                 std::nullopt));
-}
-
 TEST(NecessityTest, PartitionedRequiresPartition) {
-  EXPECT_THROW(
-      passes_simulation(easy_set(), SimPolicy::kPartitioned, std::nullopt),
-      std::invalid_argument);
+  // The simulation oracle behind the sweeps' sim columns: a partitioned run
+  // needs a placement, and the worst-fit one of a trivial set is clean.
+  sim::OracleOptions options;
+  options.policy = sim::SchedulingPolicy::kPartitioned;
+  EXPECT_THROW(sim::oracle_verdict(easy_set(), options), std::invalid_argument);
 
   const TaskSet ts = easy_set();
   const auto wf = analysis::partition_worst_fit(ts);
   ASSERT_TRUE(wf.success());
-  EXPECT_TRUE(passes_simulation(ts, SimPolicy::kPartitioned, *wf.partition));
+  options.partition = *wf.partition;
+  EXPECT_TRUE(sim::oracle_verdict(ts, options).safe());
 }
 
 TEST(ReportJsonTest, ContainsEveryAnalysis) {

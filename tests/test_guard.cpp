@@ -10,6 +10,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/concurrency.h"
@@ -26,6 +27,7 @@ namespace {
 using model::DagTask;
 using model::DagTaskBuilder;
 using model::NodeId;
+using model::NodeType;
 
 /// Figure 1(a): one blocking fork-join between a pre and a post node.
 DagTask fig1_task() {
@@ -324,7 +326,12 @@ TEST(GuardTest, DroppedNotifyHealedByGuard) {
   NodeFault drop;
   drop.kind = FaultKind::kDropNotify;
   options.faults.set(task.blocking_regions()[0].join, drop);
-  const ExecReport report = exec.run_blocking(options);
+  // Hold the BC bodies until the fork's worker is asleep on the barrier, so
+  // the dropped notify is a lost wakeup rather than one nobody waited for.
+  const ExecReport report = exec.run_blocking(options, [&](NodeId v) {
+    if (task.type(v) != NodeType::BC) return;
+    while (pool.blocked_workers() == 0) std::this_thread::yield();
+  });
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.nodes_executed, task.node_count());
   EXPECT_GE(report.lost_wakeups_recovered, 1u);

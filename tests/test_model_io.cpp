@@ -168,6 +168,25 @@ node 1 wcet=1 type=NB
 endtask
 )");
   EXPECT_THROW(read_task_set(ss), ModelError);
+
+  // Self-loops and duplicate edges read fine (a graph::Dag cannot hold
+  // them) and are model defects too, reported in the checker's order:
+  // self-loops before duplicates.
+  std::stringstream loops(R"(taskset cores=2
+task name=broken period=10 deadline=10 priority=0 nodes=2
+node 0 wcet=1 type=NB
+node 1 wcet=1 type=NB
+edge 0 1
+edge 0 1
+edge 1 1
+endtask
+)");
+  try {
+    (void)read_task_set(loops);
+    ADD_FAILURE() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(), "broken: self-loop on node 1 (cycle: 1 -> 1)");
+  }
 }
 
 }  // namespace
