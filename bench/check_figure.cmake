@@ -1,10 +1,13 @@
-# ctest helper for the figure drivers (registered in bench/CMakeLists.txt).
+# ctest helper for the figure driver and the CLI reports (registered in
+# bench/CMakeLists.txt and examples/CMakeLists.txt).
 #
 #   cmake -DEXE=<binary> "-DARGS=<flags>" <mode> -P check_figure.cmake
 #
 # Modes:
 #   -DCSV=<out> -DREFERENCE=<committed csv>
 #       the run must exit 0 and write a CSV equal to REFERENCE byte for byte;
+#   -DSTDOUT=<committed file>
+#       the run must exit 0 and print the file's bytes exactly to stdout;
 #   -DERROR=<regex>
 #       the run must exit 1 with stderr matching the regex.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
@@ -18,6 +21,14 @@ if(DEFINED ERROR)
   if(NOT rc EQUAL 1 OR NOT err MATCHES "${ERROR}")
     message(FATAL_ERROR
       "expected exit 1 and stderr matching '${ERROR}', got exit ${rc}:\n${err}")
+  endif()
+elseif(DEFINED STDOUT)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "exit ${rc}:\n${out}${err}")
+  endif()
+  file(READ "${STDOUT}" expected)
+  if(NOT out STREQUAL expected)
+    message(FATAL_ERROR "stdout differs from the committed ${STDOUT}:\n${out}")
   endif()
 else()
   if(NOT rc EQUAL 0)

@@ -50,14 +50,17 @@ struct RunFlags {
   int trials = 500;        ///< Accepted task sets per point.
 };
 
+/// Largest --trials: keeps the attempt budgets (up to trials * 400) in int.
+constexpr std::uint64_t kMaxTrials = 1000000;
+
 /// What one point's evaluation reads: the flags and the shared engine.
 struct Sweep {
   const util::Args& args;
   const RunFlags& flags;
   exp::ExperimentEngine& engine;
 
-  std::size_t count(const char* key, std::int64_t fallback) const {
-    return static_cast<std::size_t>(args.get_int(key, fallback));
+  std::size_t count(const char* key, std::uint64_t fallback) const {
+    return args.get_uint64(key, fallback);
   }
   /// Root of the point's attempt streams: `salt` picks the stream family
   /// (kFirstArm, or kSecondArm for the partitioned arm of Figure 2).
@@ -86,9 +89,21 @@ std::vector<std::int64_t> range(std::int64_t begin, std::int64_t end) {
   return values;
 }
 
+/// A list of counts, e.g. `--n 2,4,8`: each value must be >= 0.
+std::vector<std::int64_t> count_list(const util::Args& args, const char* key,
+                                     const std::vector<std::int64_t>& fallback) {
+  const std::vector<std::int64_t> values = args.get_int_list(key, fallback);
+  for (const std::int64_t x : values)
+    if (x < 0)
+      throw std::invalid_argument(std::string("--") + key +
+                                  " expects a non-negative integer, got '" +
+                                  std::to_string(x) + "'");
+  return values;
+}
+
 /// The task counts of the n sweeps, unless --n lists them.
 std::vector<std::int64_t> n_values(const util::Args& args) {
-  return args.get_int_list("n", {2, 4, 6, 8, 10, 12, 14, 16});
+  return count_list(args, "n", {2, 4, 6, 8, 10, 12, 14, 16});
 }
 
 // ---- Figure 2: baseline vs proposed test, global and partitioned ----
@@ -141,7 +156,7 @@ Row pair_point(const Sweep& s, std::int64_t x, exp::PointConfig config,
 
 /// l_max values: 1..m unless --lmax lists them; each must lie in [0, m].
 std::vector<std::int64_t> lmax_values(const util::Args& args) {
-  const std::int64_t m = args.get_int("m", 8);
+  const auto m = static_cast<std::int64_t>(args.get_uint64("m", 8));
   const auto values = args.get_int_list("lmax", range(1, m + 1));
   for (const std::int64_t lmax : values)
     if (lmax < 0 || lmax > m)
@@ -614,7 +629,7 @@ const Figure kFigures[] = {
      lmax_values, fig2_lmax},
     {"fig2_m", fig2_columns("m"), 500,
      {"m", "n", "u-frac-global", "u-frac-part", "global-pair", "part-pair"},
-     [](const util::Args& a) { return a.get_int_list("m", {2, 4, 6, 8, 12, 16}); },
+     [](const util::Args& a) { return count_list(a, "m", {2, 4, 6, 8, 12, 16}); },
      fig2_m},
     {"fig2_n", fig2_columns("n"), 500,
      {"m", "n", "u-global", "u-part", "branches-min", "branches-max",
@@ -631,7 +646,9 @@ const Figure kFigures[] = {
      {"bbar", "worstfit_sched", "firstfit_sched", "randomized_sched", "alg1_fail",
       "rta_reject"},
      300, {"m", "n", "u"},
-     [](const util::Args& a) { return range(0, a.get_int("m", 8)); },
+     [](const util::Args& a) {
+       return range(0, static_cast<std::int64_t>(a.get_uint64("m", 8)));
+     },
      ablation_partition},
     {"ablation_extensions",
      {"n", "limited_bbar", "limited_antichain", "limited_opa", "federated",
@@ -643,7 +660,9 @@ const Figure kFigures[] = {
      {"bbar", "naive_deadlock", "naive_miss", "steal_deadlock", "steal_miss",
       "global_deadlock", "global_miss", "alg1_deadlock", "alg1_miss"},
      200, {"m", "n", "u"},
-     [](const util::Args& a) { return range(1, a.get_int("m", 4)); },
+     [](const util::Args& a) {
+       return range(1, static_cast<std::int64_t>(a.get_uint64("m", 4)));
+     },
      ablation_stealing},
     {"gap_analysis",
      {"u_frac", "global_analysis", "global_sim", "partitioned_analysis",
@@ -703,9 +722,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> keys = run_keys;
     keys.insert(keys.end(), figure.keys.begin(), figure.keys.end());
     const util::Args args = bench::parse_args(argc, argv, keys);
+    const std::uint64_t trials =
+        args.get_uint64("trials", static_cast<std::uint64_t>(figure.trials));
+    if (trials > kMaxTrials)
+      throw std::invalid_argument("--trials must be at most " +
+                                  std::to_string(kMaxTrials));
     const RunFlags flags{static_cast<int>(args.get_int("threads", 1)),
-                         args.get_uint64("seed", 1),
-                         static_cast<int>(args.get_int("trials", figure.trials))};
+                         args.get_uint64("seed", 1), static_cast<int>(trials)};
     const std::vector<std::int64_t> xs = figure.x_values(args);
     const std::string csv_path =
         args.get_string("csv", std::string(figure.name) + ".csv");

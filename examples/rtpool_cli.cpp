@@ -305,8 +305,8 @@ int main(int argc, char** argv) {
                     ts.core_count(), file.c_str());
     } else {
       gen::TaskSetParams params;
-      params.cores = static_cast<std::size_t>(args.get_int("m", 8));
-      params.task_count = static_cast<std::size_t>(args.get_int("generate", 4));
+      params.cores = args.get_uint64("m", 8);
+      params.task_count = args.get_uint64("generate", 4);
       params.total_utilization =
           args.get_double("u", 0.4 * static_cast<double>(params.cores));
       util::Rng rng(args.get_uint64("seed", 1));

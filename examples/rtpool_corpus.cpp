@@ -70,16 +70,15 @@ int main(int argc, char** argv) {
 
     corpus::CorpusConfig config;
     parse_seed_range(args.get_string("seed-range", "0:1000"), config);
-    config.shards = static_cast<std::size_t>(args.get_int("shards", 16));
+    config.shards = args.get_uint64("shards", 16);
     config.root_seed = args.get_uint64("seed", 1);
-    config.cores = static_cast<std::size_t>(args.get_int("m", 8));
+    config.cores = args.get_uint64("m", 8);
     config.windows = args.get_double("windows", 4.0);
     config.budget_sets = args.get_uint64("budget-sets", 0);
     config.checkpoint_path = args.get_string("checkpoint", "");
     config.resume = args.get_bool("resume", false);
     config.witness_dir = args.get_string("witness-dir", "");
-    config.max_witnesses =
-        static_cast<std::size_t>(args.get_int("max-witnesses", 100));
+    config.max_witnesses = args.get_uint64("max-witnesses", 100);
 
     const std::string analyzers = args.get_string("analyzers", "");
     if (!analyzers.empty()) config.analyzers = parse_analyzers(analyzers);

@@ -62,14 +62,10 @@ void on_sighup(int) { g_reload_requested = 1; }
 serve::ServiceConfig config_from_args(const util::Args& args) {
   serve::ServiceConfig config;
   config.analyzer = args.get_string("analyzer", config.analyzer);
-  config.workers = static_cast<std::size_t>(
-      args.get_int("workers", static_cast<std::int64_t>(config.workers)));
-  config.shards = static_cast<std::size_t>(
-      args.get_int("shards", static_cast<std::int64_t>(config.shards)));
-  config.batch = static_cast<std::size_t>(
-      args.get_int("batch", static_cast<std::int64_t>(config.batch)));
-  config.cache = static_cast<std::size_t>(
-      args.get_int("cache", static_cast<std::int64_t>(config.cache)));
+  config.workers = args.get_uint64("workers", config.workers);
+  config.shards = args.get_uint64("shards", config.shards);
+  config.batch = args.get_uint64("batch", config.batch);
+  config.cache = args.get_uint64("cache", config.cache);
   return config;
 }
 
@@ -116,13 +112,16 @@ void reload_from_file(serve::AdmissionService& service, const std::string& path)
 }
 
 int run_server_tcp(const util::Args& args) {
+  const std::uint64_t port = args.get_uint64("port", 7411);
+  if (port > 65535)
+    throw std::invalid_argument("--port " + std::to_string(port) +
+                                " is outside 0-65535");
   serve::AdmissionService service(config_from_args(args));
   const std::string config_file = args.get_string("config", "");
   if (!config_file.empty()) std::signal(SIGHUP, on_sighup);
 
-  serve::TcpServer server(
-      service, args.get_string("host", "127.0.0.1"),
-      static_cast<std::uint16_t>(args.get_int("port", 7411)));
+  serve::TcpServer server(service, args.get_string("host", "127.0.0.1"),
+                          static_cast<std::uint16_t>(port));
   if (args.get_bool("print-port", false)) {
     std::printf("%u\n", server.port());
     std::fflush(stdout);
@@ -221,8 +220,7 @@ int run_client(const util::Args& args) {
       const std::string analyzer = args.get_string("analyzer", "");
       if (!analyzer.empty()) w.kv("analyzer", analyzer);
       for (const char* key : {"workers", "shards", "batch", "cache"})
-        if (args.get_int(key, -1) >= 0)
-          w.kv(key, args.get_int(key, -1));
+        if (args.has(key)) w.kv(key, args.get_uint64(key, 0));
     }
   } else {
     const std::string file = args.get_string("file", "");

@@ -31,8 +31,9 @@
 // The Options envelope carries only the cross-cutting knobs (WCET scale,
 // iteration budget, an optional explicit partition, diagnostics); anything
 // that changes *which* test runs is the analyzer's identity and lives in
-// its registry name. Warm-start state rides in the RtaContext, exactly as
-// for the kernels (see rta_context.h).
+// its registry name. Cached per-set state (priority and topological
+// orders, the flat view, partition bindings) rides in the RtaContext,
+// exactly as for the kernels (see rta_context.h).
 #pragma once
 
 #include <memory>

@@ -13,8 +13,7 @@ util::DynamicBitset blocking_fork_mask(const DagTask& task) {
   return mask;
 }
 
-}  // namespace
-
+/// C(v): bitset (over node ids) of BF nodes concurrent with v.
 util::DynamicBitset concurrent_blocking_forks(const DagTask& task, NodeId v) {
   // C(v) = BF \ (pred(v) ∪ succ(v) ∪ {v}), with pred/succ transitive.
   util::DynamicBitset c = blocking_fork_mask(task);
@@ -24,6 +23,8 @@ util::DynamicBitset concurrent_blocking_forks(const DagTask& task, NodeId v) {
   if (c.test(v)) c.reset(v);
   return c;
 }
+
+}  // namespace
 
 util::DynamicBitset affecting_blocking_forks(const DagTask& task, NodeId v) {
   util::DynamicBitset x = concurrent_blocking_forks(task, v);
@@ -40,12 +41,6 @@ std::size_t max_affecting_forks(const DagTask& task) {
 
 long available_concurrency_lower_bound(const DagTask& task, std::size_t pool_size) {
   return static_cast<long>(pool_size) - static_cast<long>(max_affecting_forks(task));
-}
-
-std::vector<util::DynamicBitset> all_affecting_forks(const DagTask& task) {
-  std::vector<util::DynamicBitset> out;
-  all_affecting_forks(task, out);
-  return out;
 }
 
 void all_affecting_forks(const DagTask& task,

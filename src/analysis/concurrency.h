@@ -23,11 +23,8 @@ namespace rtpool::analysis {
 using model::DagTask;
 using model::NodeId;
 
-/// C(v): bitset (over node ids) of BF nodes concurrent with v. The node
-/// itself is excluded (a node never executes concurrently with itself).
-util::DynamicBitset concurrent_blocking_forks(const DagTask& task, NodeId v);
-
-/// X(v): C(v) plus, for BC nodes, the delimiting fork F(v).
+/// X(v): C(v) plus, for BC nodes, the delimiting fork F(v). C(v) excludes
+/// v itself (a node never executes concurrently with itself).
 util::DynamicBitset affecting_blocking_forks(const DagTask& task, NodeId v);
 
 /// b̄(τ) = max_v |X(v)|; 0 for tasks without BF nodes.
@@ -37,12 +34,9 @@ std::size_t max_affecting_forks(const DagTask& task);
 /// bound cannot exclude a deadlock (see deadlock.h).
 long available_concurrency_lower_bound(const DagTask& task, std::size_t pool_size);
 
-/// All per-node X(v) sets at once (index = node id); used by hot loops in
-/// the partitioning algorithm and the experiment harness.
-std::vector<util::DynamicBitset> all_affecting_forks(const DagTask& task);
-
-/// Allocation-reusing variant: fills `out` (resized to node_count()),
-/// recycling the bitset storage across calls.
+/// All per-node X(v) sets at once (index = node id) for the partitioning
+/// hot loop: fills `out` (resized to node_count()), recycling the bitset
+/// storage across calls.
 void all_affecting_forks(const DagTask& task,
                          std::vector<util::DynamicBitset>& out);
 

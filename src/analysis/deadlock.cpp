@@ -182,12 +182,6 @@ bool is_deadlock_free_partitioned(const model::DagTask& task,
   return true;
 }
 
-bool task_set_deadlock_free_global(const model::TaskSet& ts) {
-  for (const model::DagTask& task : ts.tasks())
-    if (!check_deadlock_free_global(task, ts.core_count()).deadlock_free) return false;
-  return true;
-}
-
 bool task_set_deadlock_free_partitioned(const model::TaskSet& ts,
                                         const TaskSetPartition& partition) {
   if (partition.per_task.size() != ts.size())

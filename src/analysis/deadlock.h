@@ -117,9 +117,6 @@ bool is_deadlock_free_partitioned(const model::DagTask& task,
                                   std::size_t pool_size,
                                   const NodeAssignment& assignment);
 
-/// Whole task set, global scheduling: the per-task checks applied ∀τ ∈ Γ.
-bool task_set_deadlock_free_global(const model::TaskSet& ts);
-
 /// Whole task set, partitioned scheduling.
 bool task_set_deadlock_free_partitioned(const model::TaskSet& ts,
                                         const TaskSetPartition& partition);

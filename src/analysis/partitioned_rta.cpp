@@ -39,21 +39,6 @@ void validate_partition(const model::TaskSet& ts, const TaskSetPartition& partit
 
 }  // namespace
 
-std::vector<Time> per_core_workload_vector(const model::DagTask& task,
-                                           const NodeAssignment& assignment,
-                                           std::size_t cores) {
-  const std::size_t n = task.node_count();
-  const auto& thread_of = assignment.thread_of;
-  if (thread_of.size() != n)
-    throw model::ModelError("per_core_workload_vector: assignment size mismatch");
-  for (ThreadId t : thread_of)
-    if (t >= cores)
-      throw model::ModelError("per_core_workload_vector: thread id out of range");
-  std::vector<Time> w(cores, 0.0);
-  for (model::NodeId v = 0; v < n; ++v) w[thread_of[v]] += task.wcet(v);
-  return w;
-}
-
 std::vector<Time> fifo_blocking_vector(const model::DagTask& task,
                                        const NodeAssignment& assignment) {
   const std::size_t n = task.node_count();

@@ -95,12 +95,6 @@ class RtaContext;
 std::vector<util::Time> fifo_blocking_vector(const model::DagTask& task,
                                              const NodeAssignment& assignment);
 
-/// Per-core WCET footprint W_{i,p} of one task under an assignment
-/// (length = `cores`). Thread ids must be < cores (throws ModelError).
-std::vector<util::Time> per_core_workload_vector(const model::DagTask& task,
-                                                 const NodeAssignment& assignment,
-                                                 std::size_t cores);
-
 /// Analyze `ts` under the node-to-thread `partition`. Priorities must be
 /// distinct. Throws ModelError on malformed inputs (size mismatches,
 /// out-of-range thread ids).

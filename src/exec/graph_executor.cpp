@@ -309,13 +309,10 @@ struct RunState : std::enable_shared_from_this<RunState> {
     s.pool_workers = pool.worker_count();
     const std::size_t capacity =
         pool.worker_count() + pool.emergency_worker_count();
-    const bool per_worker = pool.mode() == ThreadPool::QueueMode::kPerWorker;
-    // Stealing replicates global scheduling: any idle worker reaches any
-    // queue. Suppressed per-run stealing is conservative here (treated as
-    // off — the run asked for strict placement).
-    const bool global_reach =
-        !per_worker ||
-        (pool.stealing_configured() && options.allow_stealing_with_assignment);
+    // A global queue is reached by any idle worker. A per-worker queue is
+    // reached only by its own worker: the run carries an assignment, so
+    // stealing is suppressed for its duration.
+    const bool global_reach = pool.mode() != ThreadPool::QueueMode::kPerWorker;
 
     util::MutexLock lock(mutex);
     s.done = done;
@@ -384,16 +381,10 @@ ExecReport run_graph(ThreadPool& pool, const DagTask& task, const ExecOptions& o
   ExecReport report;
 
   // Stealing off another worker's queue breaks the Eq. (3) placement the
-  // partitioned analysis assumes: suppress it for the run unless the caller
-  // loudly opts in.
+  // partitioned analysis assumes: suppress it for the run.
   std::optional<ThreadPool::SuppressStealing> suppress;
-  if (options.assignment.has_value() && pool.stealing_configured()) {
-    if (options.allow_stealing_with_assignment) {
-      report.stealing_bypassed_assignment = true;
-    } else {
-      suppress.emplace(pool);
-    }
-  }
+  if (options.assignment.has_value() && pool.stealing_configured())
+    suppress.emplace(pool);
 
   auto state =
       std::make_shared<RunState>(pool, task, options, std::move(body), blocking);

@@ -23,9 +23,7 @@
 //  * an ExecOptions::faults plan injects seeded misbehavior (WCET overrun,
 //    stall, throw, dropped notify) for testing the guard — see exec/fault.h;
 //  * a run over a partitioned assignment suppresses work stealing for its
-//    duration (stealing breaks the Eq. (3) placement Lemma 3 relies on)
-//    unless allow_stealing_with_assignment opts in, which is flagged
-//    loudly in the report.
+//    duration (stealing breaks the Eq. (3) placement Lemma 3 relies on).
 #pragma once
 
 #include <chrono>
@@ -61,9 +59,6 @@ struct ExecOptions {
   std::size_t max_emergency_workers = 2;
   /// Seeded fault plan (empty = clean run).
   FaultPlan faults;
-  /// Permit work stealing during a run with an assignment; sets
-  /// ExecReport::stealing_bypassed_assignment instead of suppressing.
-  bool allow_stealing_with_assignment = false;
 
   /// Liveness: stale-heartbeat budget before a busy worker counts as hung
   /// (see GuardOptions::liveness).
@@ -92,9 +87,6 @@ struct ExecReport {
   std::size_t emergency_workers = 0;
   /// Lost wakeups the guard healed by re-notifying.
   std::size_t lost_wakeups_recovered = 0;
-  /// Loud flag: stealing stayed enabled while executing a partitioned
-  /// assignment (Eq. (3) placement not enforced at runtime).
-  bool stealing_bypassed_assignment = false;
 
   /// Dead/hung workers the guard detected and recovered during the run
   /// (each killed worker's work was requeued and executed exactly once).

@@ -6,6 +6,10 @@ namespace rtpool::exec {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Confirm the quiescence criterion on this many consecutive samples before
+/// declaring a stall (filters transient pop/submit windows).
+constexpr int kConfirmSamples = 2;
 }  // namespace
 
 const char* to_string(RecoveryPolicy policy) {
@@ -235,9 +239,9 @@ void Watchdog::loop() {
         s.blocked > 0 && s.active == s.blocked && !s.reachable_work;
     confirmed = quiescent ? confirmed + 1 : 0;
     const bool budget_out = now - last_progress_time >= options_.budget;
-    if (confirmed < options_.confirm_samples && !budget_out) continue;
+    if (confirmed < kConfirmSamples && !budget_out) continue;
 
-    const bool proven = confirmed >= options_.confirm_samples;
+    const bool proven = confirmed >= kConfirmSamples;
     if (!stall_.has_value()) {
       StallReport report;
       report.detected_after =

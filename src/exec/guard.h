@@ -185,9 +185,6 @@ struct GuardOptions {
   /// Injection cap under kEmergencyWorker; once exhausted the watchdog
   /// falls back to cancel + report.
   std::size_t max_emergency_workers = 2;
-  /// Confirm the quiescence criterion on this many consecutive samples
-  /// before declaring a stall (filters transient pop/submit windows).
-  int confirm_samples = 2;
 
   /// Liveness: a busy, unblocked worker whose heartbeat epoch has not moved
   /// for this long is presumed hung. Must exceed the longest legitimate

@@ -253,14 +253,12 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
 
   // ---- 3./5. CROSS-CHECK (before the switch point: an accepted-but-
   // invalid binding must roll back without ever being installed) ----
-  if (config_.cross_check) {
-    const std::optional<std::string> witness =
-        runtime_cross_check(*proposed, partition, workers);
-    tr.cross_check_ok = !witness.has_value();
-    if (!tr.cross_check_ok && config_.require_cross_check) {
-      tr.reject_reason = "runtime cross-check failed: " + *witness;
-      return finalize(tr);  // rolled back: old mode stays committed
-    }
+  const std::optional<std::string> witness =
+      runtime_cross_check(*proposed, partition, workers);
+  tr.cross_check_ok = !witness.has_value();
+  if (!tr.cross_check_ok) {
+    tr.reject_reason = "runtime cross-check failed: " + *witness;
+    return finalize(tr);  // rolled back: old mode stays committed
   }
 
   // ---- 4. DRAIN ----

@@ -73,11 +73,6 @@ struct ModeChangeConfig {
   /// Initial core count m when no pool is attached (ignored otherwise —
   /// the pool's worker_count() wins). Must be > 0 in that case.
   std::size_t cores = 0;
-  /// Run the runtime cross-check (step 5) on accepted transitions.
-  bool cross_check = true;
-  /// Roll back an accepted transition whose cross-check fails (off: commit
-  /// anyway but record cross_check_ok = false, loudly).
-  bool require_cross_check = true;
   /// Cross-cutting analysis knobs. `diagnostics` is forced on internally
   /// so every verdict carries its certificate.
   analysis::AnalyzerOptions options;

@@ -8,26 +8,6 @@
 
 namespace rtpool::gen {
 
-const char* to_string(WcetDist dist) {
-  switch (dist) {
-    case WcetDist::kUniform: return "uniform";
-    case WcetDist::kBimodal: return "bimodal";
-    case WcetDist::kExponential: return "exponential";
-    case WcetDist::kHeavyTail: return "heavy-tail";
-  }
-  return "uniform";
-}
-
-WcetDist parse_wcet_dist(const std::string& name) {
-  if (name == "uniform") return WcetDist::kUniform;
-  if (name == "bimodal") return WcetDist::kBimodal;
-  if (name == "exponential") return WcetDist::kExponential;
-  if (name == "heavy-tail") return WcetDist::kHeavyTail;
-  throw std::invalid_argument(
-      "unknown WCET distribution '" + name +
-      "' (valid: uniform, bimodal, exponential, heavy-tail)");
-}
-
 double draw_wcet(WcetDist dist, double wcet_min, double wcet_max,
                  util::Rng& rng) {
   const double span = wcet_max - wcet_min;
@@ -71,6 +51,10 @@ namespace {
 using model::Node;
 using model::NodeId;
 using model::NodeType;
+
+/// Probability that a block expands into a parallel sub-graph instead of a
+/// terminal node (before the depth limit applies).
+constexpr double kParallelProb = 0.8;
 
 /// Recursive builder for one task graph.
 class GraphBuilder {
@@ -117,7 +101,7 @@ class GraphBuilder {
 
   Span block(int depth, bool inside_blocking, bool force_parallel) {
     const bool expand = depth <= params_.max_depth &&
-                        (force_parallel || rng_.bernoulli(params_.parallel_prob));
+                        (force_parallel || rng_.bernoulli(kParallelProb));
     if (!expand) {
       const NodeId v = terminal(inside_blocking ? NodeType::BC : NodeType::NB);
       return {v, v};
@@ -125,8 +109,8 @@ class GraphBuilder {
 
     // Decide whether this fork-join sub-graph is a blocking region:
     // p_BF = d/(d+1), only outside existing blocking regions (no nesting).
-    const double p_bf = params_.blocking_bias * static_cast<double>(depth) /
-                        static_cast<double>(depth + 1);
+    const double p_bf =
+        static_cast<double>(depth) / static_cast<double>(depth + 1);
     const bool blocking =
         params_.allow_blocking && !inside_blocking && rng_.bernoulli(p_bf);
 
@@ -175,16 +159,12 @@ class GraphBuilder {
 };
 
 void validate_params(const NfjParams& p) {
-  if (p.parallel_prob < 0.0 || p.parallel_prob > 1.0)
-    throw std::invalid_argument("NfjParams: parallel_prob out of [0,1]");
   if (p.max_depth < 1) throw std::invalid_argument("NfjParams: max_depth must be >= 1");
   if (p.min_branches < 2 || p.max_branches < p.min_branches)
     throw std::invalid_argument("NfjParams: need 2 <= min_branches <= max_branches");
   if (p.max_series < 1) throw std::invalid_argument("NfjParams: max_series must be >= 1");
   if (!(p.wcet_min >= 0.0) || !(p.wcet_max >= p.wcet_min) || !(p.wcet_max > 0.0))
     throw std::invalid_argument("NfjParams: bad WCET range");
-  if (p.blocking_bias < 0.0 || p.blocking_bias > 1.0)
-    throw std::invalid_argument("NfjParams: blocking_bias out of [0,1]");
   if (p.force_outer_branches != 0 && p.force_outer_branches < 2)
     throw std::invalid_argument("NfjParams: force_outer_branches must be 0 or >= 2");
 }
@@ -200,12 +180,6 @@ util::Time GeneratedGraph::volume() const {
 GeneratedGraph generate_nfj_graph(const NfjParams& params, util::Rng& rng) {
   validate_params(params);
   return GraphBuilder(params, rng).run();
-}
-
-void apply_blocking_selection(GeneratedGraph& g,
-                              const std::vector<std::size_t>& selection) {
-  const graph::Reachability reach(g.dag);
-  apply_blocking_selection(g, selection, reach);
 }
 
 void apply_blocking_selection(GeneratedGraph& g,
@@ -229,12 +203,6 @@ void apply_blocking_selection(GeneratedGraph& g,
     interior.and_assign(reach.ancestors(span.join));
     interior.for_each([&](std::size_t v) { g.nodes[v].type = NodeType::BC; });
   }
-}
-
-std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(
-    const GeneratedGraph& g, std::size_t k, util::Rng& rng) {
-  const graph::Reachability reach(g.dag);
-  return pick_concurrent_fork_joins(g, k, rng, reach);
 }
 
 std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(

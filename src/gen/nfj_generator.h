@@ -30,11 +30,6 @@ enum class WcetDist : unsigned char {
   kHeavyTail,    ///< Bounded Pareto (alpha = 1.1, 64x dynamic range).
 };
 
-/// Canonical names ("uniform", "bimodal", "exponential", "heavy-tail");
-/// parse throws std::invalid_argument on unknown names.
-const char* to_string(WcetDist dist);
-WcetDist parse_wcet_dist(const std::string& name);
-
 /// One WCET draw from [wcet_min, wcet_max] under `dist` (exposed for tests
 /// and custom generators; consumes 1 draw for kUniform/kExponential/
 /// kHeavyTail and 2 for kBimodal).
@@ -42,9 +37,6 @@ double draw_wcet(WcetDist dist, double wcet_min, double wcet_max,
                  util::Rng& rng);
 
 struct NfjParams {
-  /// Probability that a block expands into a parallel sub-graph instead of
-  /// a terminal node (before the depth limit applies).
-  double parallel_prob = 0.8;
   /// Maximum fork-join nesting depth (the paper's d = 2).
   int max_depth = 2;
   /// Parallel branches per fork-join, uniform in [min_branches, max_branches].
@@ -62,8 +54,6 @@ struct NfjParams {
   /// When false, no sub-graph is typed blocking (plain DAG tasks — used for
   /// baselines, for ablations, and as the skeleton of targeted typing).
   bool allow_blocking = true;
-  /// Scales p_BF = blocking_bias * d/(d+1); 1.0 reproduces the paper.
-  double blocking_bias = 1.0;
   /// When > 0, the outermost fork-join uses exactly this many branches
   /// (used to guarantee enough mutually-concurrent sub-graphs for targeted
   /// typing); 0 = draw from [min_branches, max_branches] as usual.
@@ -98,24 +88,17 @@ GeneratedGraph generate_nfj_graph(const NfjParams& params, util::Rng& rng);
 /// The selected spans must be pairwise precedence-unordered (concurrent) —
 /// then every member of a selected region is affected by exactly
 /// |selection| forks and b̄(τ) = |selection| by construction.
-/// Throws std::invalid_argument if a selected span is out of range.
-void apply_blocking_selection(GeneratedGraph& graph,
-                              const std::vector<std::size_t>& selection);
-
-/// Same, against a caller-provided closure of `graph.dag` — retyping never
-/// touches the dag, so one Reachability can be shared across the selection,
-/// the typing, and the eventual DagTask construction (the generator hot
-/// path builds it exactly once per task instead of three times).
+/// `reach` is the closure of `graph.dag`: retyping never touches the dag,
+/// so one Reachability serves the selection, the typing and the eventual
+/// DagTask construction. Throws std::invalid_argument if a selected span
+/// is out of range or `reach` has the wrong size.
 void apply_blocking_selection(GeneratedGraph& graph,
                               const std::vector<std::size_t>& selection,
                               const graph::Reachability& reach);
 
 /// Greedily pick `k` pairwise-concurrent fork-join spans of `graph`
-/// (shuffled order). Returns nullopt if the greedy pass cannot find k.
-std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(
-    const GeneratedGraph& graph, std::size_t k, util::Rng& rng);
-
-/// Same, against a caller-provided closure of `graph.dag`.
+/// (shuffled order), against the closure `reach` of `graph.dag`. Returns
+/// nullopt if the greedy pass cannot find k.
 std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(
     const GeneratedGraph& graph, std::size_t k, util::Rng& rng,
     const graph::Reachability& reach);

@@ -61,124 +61,4 @@ model::DagTask make_dnn_task(const std::string& name, int layers,
   return b.build();
 }
 
-model::DagTask make_map_reduce_task(const std::string& name, int mappers,
-                                    const TopologyOptions& options,
-                                    util::Rng& rng) {
-  validate(options);
-  if (mappers < 2)
-    throw std::invalid_argument("make_map_reduce_task: need >= 2 mappers");
-
-  DagTaskBuilder b(name);
-  const NodeId input = b.add_node(draw(options, rng));
-
-  // Map phase: one parallel-for over the mappers (blocking when requested).
-  const NodeId shuffle = b.add_node(draw(options, rng));
-  add_parallel_for(b, input, shuffle, mappers, options, rng);
-
-  // Reduce phase: a binary combining tree, always NB.
-  std::vector<NodeId> level;
-  for (int i = 0; i < (mappers + 1) / 2; ++i) {
-    const NodeId r = b.add_node(draw(options, rng));
-    b.add_edge(shuffle, r);
-    level.push_back(r);
-  }
-  while (level.size() > 1) {
-    std::vector<NodeId> next;
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      const NodeId r = b.add_node(draw(options, rng));
-      b.add_edge(level[i], r);
-      b.add_edge(level[i + 1], r);
-      next.push_back(r);
-    }
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level = std::move(next);
-  }
-  b.period(options.period);
-  return b.build();
-}
-
-model::DagTask make_pipeline_task(const std::string& name, int stages,
-                                  int width, const TopologyOptions& options,
-                                  util::Rng& rng) {
-  validate(options);
-  if (stages < 1 || width < 1)
-    throw std::invalid_argument("make_pipeline_task: stages/width must be >= 1");
-
-  DagTaskBuilder b(name);
-  NodeId barrier = b.add_node(draw(options, rng));
-  for (int s = 0; s < stages; ++s) {
-    const NodeId next = b.add_node(draw(options, rng));
-    add_parallel_for(b, barrier, next, width, options, rng);
-    barrier = next;
-  }
-  b.period(options.period);
-  return b.build();
-}
-
-model::DagTask make_wavefront_task(const std::string& name, int rows, int cols,
-                                   const TopologyOptions& options,
-                                   util::Rng& rng) {
-  validate(options);
-  if (rows < 1 || cols < 1)
-    throw std::invalid_argument("make_wavefront_task: rows/cols must be >= 1");
-
-  DagTaskBuilder b(name);
-  std::vector<std::vector<NodeId>> cell(rows, std::vector<NodeId>(cols));
-  for (int i = 0; i < rows; ++i)
-    for (int j = 0; j < cols; ++j) {
-      cell[i][j] = b.add_node(draw(options, rng), NodeType::NB);
-      if (i > 0) b.add_edge(cell[i - 1][j], cell[i][j]);
-      if (j > 0) b.add_edge(cell[i][j - 1], cell[i][j]);
-    }
-  b.period(options.period);
-  return b.build();  // (0,0) is the source, (rows-1, cols-1) the sink
-}
-
-model::DagTask make_divide_conquer_task(const std::string& name, int depth,
-                                        const TopologyOptions& options,
-                                        util::Rng& rng) {
-  validate(options);
-  if (depth < 1)
-    throw std::invalid_argument("make_divide_conquer_task: depth must be >= 1");
-
-  DagTaskBuilder b(name);
-
-  // Recursive helper: returns {entry, exit} of a subtree at `level`
-  // (level counts down; level 1 is the deepest fork level).
-  struct Builder {
-    DagTaskBuilder& b;
-    const TopologyOptions& options;
-    util::Rng& rng;
-
-    std::pair<NodeId, NodeId> subtree(int level) {
-      if (level == 0) {  // leaf kernel
-        const NodeId leaf = b.add_node(rng.uniform(options.wcet_min, options.wcet_max));
-        return {leaf, leaf};
-      }
-      if (level == 1 && options.blocking) {
-        // Deepest fork level: a blocking region over two leaf kernels.
-        const auto fj = b.add_blocking_fork_join(
-            rng.uniform(options.wcet_min, options.wcet_max),
-            rng.uniform(options.wcet_min, options.wcet_max),
-            {rng.uniform(options.wcet_min, options.wcet_max),
-             rng.uniform(options.wcet_min, options.wcet_max)});
-        return {fj.fork, fj.join};
-      }
-      const NodeId fork = b.add_node(rng.uniform(options.wcet_min, options.wcet_max));
-      const NodeId join = b.add_node(rng.uniform(options.wcet_min, options.wcet_max));
-      for (int child = 0; child < 2; ++child) {
-        const auto [entry, exit] = subtree(level - 1);
-        b.add_edge(fork, entry);
-        b.add_edge(exit, join);
-      }
-      return {fork, join};
-    }
-  };
-
-  Builder helper{b, options, rng};
-  helper.subtree(depth);
-  b.period(options.period);
-  return b.build();
-}
-
 }  // namespace rtpool::gen

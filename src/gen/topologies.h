@@ -1,14 +1,11 @@
-// Structured DAG topologies from real parallel software, as reusable task
-// constructors: the shapes TensorFlow/Eigen-style systems actually run
-// (layered inference graphs, map-reduce, pipelines, wavefronts, recursive
-// divide-and-conquer). Each constructor can realize its data-parallel
-// sections either as *blocking* regions (BF/BC/BJ — Listing 1, the
-// thread-pool + condition-variable implementation) or as plain NB nodes
+// Structured DAG topology from real parallel software: the layered
+// inference graph TensorFlow/Eigen-style systems run. Its data-parallel
+// sections are either *blocking* regions (BF/BC/BJ — Listing 1, the
+// thread-pool + condition-variable implementation) or plain NB nodes
 // (Listing 2).
 //
-// All constructors produce model-valid tasks (single source/sink, region
-// restrictions hold by construction) and take explicit WCETs or an Rng for
-// randomized ones.
+// The constructor produces model-valid tasks (single source/sink, region
+// restrictions hold by construction) with WCETs drawn from an Rng.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +16,7 @@
 
 namespace rtpool::gen {
 
-/// Common knobs for all topology builders.
+/// Knobs of the topology builder.
 struct TopologyOptions {
   bool blocking = true;      ///< Data-parallel sections use BF/BC/BJ.
   util::Time period = 0.0;   ///< Task period (= deadline); must be > 0.
@@ -34,37 +31,5 @@ struct TopologyOptions {
 model::DagTask make_dnn_task(const std::string& name, int layers,
                              int ops_per_layer, int tiles,
                              const TopologyOptions& options, util::Rng& rng);
-
-/// Map-reduce: `mappers` parallel map kernels feeding a binary reduction
-/// tree. With `options.blocking`, the map phase is one blocking region
-/// (the reduce tree stays NB: its nodes have cross-level edges that a
-/// single region could not contain). b̄ = 1 when blocking.
-model::DagTask make_map_reduce_task(const std::string& name, int mappers,
-                                    const TopologyOptions& options,
-                                    util::Rng& rng);
-
-/// Software pipeline: `stages` sequential stages; stage i is a parallel-for
-/// over `width` kernels. Consecutive stages are separated by barriers, so
-/// blocking regions never overlap: b̄ = 1 when blocking.
-model::DagTask make_pipeline_task(const std::string& name, int stages,
-                                  int width, const TopologyOptions& options,
-                                  util::Rng& rng);
-
-/// Wavefront (2D dependency grid, e.g. dynamic programming / blocked LU):
-/// cell (i, j) depends on (i-1, j) and (i, j-1). Always NB (its diagonal
-/// parallelism has no fork-join structure to block on); `options.blocking`
-/// is ignored.
-model::DagTask make_wavefront_task(const std::string& name, int rows, int cols,
-                                   const TopologyOptions& options,
-                                   util::Rng& rng);
-
-/// Cilk-style recursive divide-and-conquer: a binary tree of forks of
-/// `depth` levels with leaf kernels. With `options.blocking`, only the
-/// DEEPEST fork level blocks (regions cannot nest), giving
-/// b̄ = 2^(depth-1) concurrent blocking forks — the fastest way to build
-/// tasks with large concurrency reduction.
-model::DagTask make_divide_conquer_task(const std::string& name, int depth,
-                                        const TopologyOptions& options,
-                                        util::Rng& rng);
 
 }  // namespace rtpool::gen

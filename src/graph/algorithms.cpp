@@ -88,19 +88,6 @@ util::Time longest_path_length(const Dag& dag, const std::vector<NodeId>& order,
   return best;
 }
 
-std::vector<util::Time> longest_path_to(const Dag& dag,
-                                        const std::vector<util::Time>& weights) {
-  if (weights.size() != dag.size())
-    throw std::invalid_argument("longest_path_to: weight count mismatch");
-  std::vector<util::Time> best(dag.size(), 0.0);
-  for (NodeId v : topological_order(dag)) {
-    best[v] = weights[v];
-    for (NodeId u : dag.predecessors(v))
-      best[v] = std::max(best[v], best[u] + weights[v]);
-  }
-  return best;
-}
-
 util::Time total_weight(const std::vector<util::Time>& weights) {
   return std::accumulate(weights.begin(), weights.end(), util::Time{0.0});
 }
@@ -118,12 +105,6 @@ std::vector<bool> weak_component(const Dag& dag, NodeId root) {
       if (!seen[w]) { seen[w] = true; stack.push_back(w); }
   }
   return seen;
-}
-
-bool is_weakly_connected(const Dag& dag) {
-  if (dag.size() <= 1) return true;
-  const std::vector<bool> seen = weak_component(dag, 0);
-  return std::find(seen.begin(), seen.end(), false) == seen.end();
 }
 
 }  // namespace rtpool::graph

@@ -40,21 +40,11 @@ util::Time longest_path_length(const Dag& dag, const std::vector<NodeId>& order,
                                const std::vector<util::Time>& weights,
                                std::vector<util::Time>& scratch);
 
-/// Per-node earliest-finish values of the weighted longest path ending AT
-/// each node (inclusive of the node's own weight). Used by analyses that
-/// need the full DP table rather than just the critical path.
-std::vector<util::Time> longest_path_to(const Dag& dag,
-                                        const std::vector<util::Time>& weights);
-
 /// Sum of all node weights (the paper's vol(τ) with weights = WCETs).
 util::Time total_weight(const std::vector<util::Time>& weights);
 
 /// Per node: joined to `root` when edge direction is ignored (the weakly
 /// connected component of `root`).
 std::vector<bool> weak_component(const Dag& dag, NodeId root);
-
-/// True if `dag` is weakly connected (ignoring edge direction). The empty
-/// graph and singleton graphs are connected.
-bool is_weakly_connected(const Dag& dag);
 
 }  // namespace rtpool::graph

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/algorithms.h"
-
 namespace rtpool::graph {
 
 NodeId Dag::add_node() {
@@ -53,15 +51,6 @@ std::vector<Edge> Dag::edges() const {
     return a.from != b.from ? a.from < b.from : a.to < b.to;
   });
   return out;
-}
-
-bool Dag::is_acyclic() const {
-  try {
-    (void)topological_order(*this);
-    return true;
-  } catch (const CycleError&) {
-    return false;
-  }
 }
 
 }  // namespace rtpool::graph

@@ -25,8 +25,8 @@ struct Edge {
 ///
 /// Invariants: node ids are < size(); duplicate edges and self-loops are
 /// rejected at insertion. Acyclicity is *not* enforced per insertion (that
-/// would be O(V+E) each time); call `is_acyclic()` or let algorithms that
-/// require topological order throw `CycleError`.
+/// would be O(V+E) each time); algorithms that require a topological order
+/// throw `CycleError` (see `topological_order()` in graph/algorithms.h).
 class Dag {
  public:
   Dag() = default;
@@ -83,8 +83,6 @@ class Dag {
 
   /// All edges in insertion-independent (from, to) order.
   std::vector<Edge> edges() const;
-
-  bool is_acyclic() const;
 
  private:
   void check_node(NodeId v) const {

@@ -191,138 +191,6 @@ void write_witness(util::JsonWriter& w, const cert::ConcurrencyWitness& cw) {
   w.end_object();
 }
 
-void print_witness(std::ostream& os, const cert::ConcurrencyWitness& cw) {
-  os << "b-bar = " << cw.bbar << " via ";
-  if (cw.antichain)
-    os << "antichain {";
-  else
-    os << "X(" << cw.pivot << ") = {";
-  for (std::size_t i = 0; i < cw.forks.size(); ++i)
-    os << (i == 0 ? "" : ", ") << cw.forks[i];
-  os << "}";
-}
-
-void print_global(const cert::GlobalCert& g, const model::TaskSet& ts,
-                  std::ostream& os) {
-  os << "  bounds:" << (g.limited ? " limited-concurrency" : " baseline")
-     << (g.antichain_bound ? " antichain" : "")
-     << (g.carry_in ? " carry-in" : "")
-     << ", max iterations = " << g.max_iterations << "\n";
-  for (std::size_t i = 0; i < g.per_task.size(); ++i) {
-    const cert::GlobalTaskCert& tc = g.per_task[i];
-    os << "  " << task_label(ts, i) << ": " << cert::to_string(tc.claim);
-    switch (tc.claim) {
-      case cert::TaskClaim::kConverged:
-        os << "  R = " << tc.response << " (len = " << tc.critical_path
-           << ", self = " << tc.self_interference
-           << ", denom = " << tc.denominator << ")";
-        break;
-      case cert::TaskClaim::kDeadlineMiss:
-      case cert::TaskClaim::kIterationBudget:
-        os << "  final iterate " << tc.response;
-        if (i < ts.size()) os << ", D = " << ts.task(i).deadline();
-        break;
-      case cert::TaskClaim::kHpDiverged:
-        os << "  blocker '" << task_label(ts, tc.blocker) << "'";
-        break;
-      default:
-        break;
-    }
-    if (tc.concurrency.has_value()) {
-      os << " [";
-      print_witness(os, *tc.concurrency);
-      os << "]";
-    }
-    os << "\n";
-  }
-}
-
-void print_partitioned(const cert::PartitionedCert& p, const model::TaskSet& ts,
-                       std::ostream& os) {
-  os << "  bounds: " << (p.split ? "split" : "holistic")
-     << (p.require_deadlock_free ? ", require-deadlock-free" : "")
-     << ", max iterations = " << p.max_iterations << "\n";
-  if (!p.partition_failure.empty())
-    os << "  partition failure: " << p.partition_failure << "\n";
-  if (!p.core_load.empty()) {
-    os << "  core loads:";
-    for (double load : p.core_load) os << " " << load;
-    os << "\n";
-  }
-  for (std::size_t i = 0; i < p.per_task.size(); ++i) {
-    const cert::PartitionedTaskCert& tc = p.per_task[i];
-    os << "  " << task_label(ts, i) << ": " << cert::to_string(tc.claim);
-    switch (tc.claim) {
-      case cert::TaskClaim::kConverged:
-        os << "  R = " << tc.response;
-        if (p.split)
-          os << " (" << tc.segments.size() << " segments)";
-        else
-          os << " (base = " << tc.holistic_base << ")";
-        break;
-      case cert::TaskClaim::kDeadlineMiss:
-      case cert::TaskClaim::kIterationBudget:
-        os << "  iterate " << tc.miss_value;
-        if (tc.miss_node != cert::kNoIndex) os << " at node " << tc.miss_node;
-        if (i < ts.size()) os << ", D = " << ts.task(i).deadline();
-        break;
-      case cert::TaskClaim::kEq3Violation:
-        if (tc.eq3.has_value())
-          os << "  BC node " << tc.eq3->bc_node << " and fork " << tc.eq3->fork
-             << " share thread " << tc.eq3->thread;
-        break;
-      case cert::TaskClaim::kHpDiverged:
-        os << "  blocker '" << task_label(ts, tc.blocker) << "'";
-        break;
-      default:
-        break;
-    }
-    if (tc.concurrency.has_value()) {
-      os << " [";
-      print_witness(os, *tc.concurrency);
-      os << "]";
-    }
-    if (tc.deadlock_free && tc.claim != cert::TaskClaim::kPartitionFailure)
-      os << " (deadlock-free)";
-    os << "\n";
-  }
-}
-
-void print_federated(const cert::FederatedCert& f, const model::TaskSet& ts,
-                     std::ostream& os) {
-  os << "  bounds: " << (f.limited ? "limited-concurrency" : "baseline")
-     << ", dedicated cores = " << f.dedicated_cores << "\n";
-  for (std::size_t i = 0; i < f.per_task.size(); ++i) {
-    const cert::FederatedTaskCert& tc = f.per_task[i];
-    os << "  " << task_label(ts, i) << ": " << cert::to_string(tc.claim);
-    switch (tc.claim) {
-      case cert::TaskClaim::kDedicated:
-        os << "  " << tc.cores << " cores";
-        if (f.limited) os << " (b-bar = " << tc.bbar << ")";
-        break;
-      case cert::TaskClaim::kConverged:
-      case cert::TaskClaim::kDeadlineMiss:
-        os << "  R = " << tc.response << " on shared core " << tc.core;
-        if (i < ts.size()) os << ", D = " << ts.task(i).deadline();
-        break;
-      case cert::TaskClaim::kAllocationFailure:
-        os << "  demand " << tc.cores << " cores";
-        break;
-      case cert::TaskClaim::kSharedCoreFailure:
-        os << "  blocker '" << task_label(ts, tc.blocker) << "'";
-        break;
-      default:
-        break;
-    }
-    if (tc.concurrency.has_value()) {
-      os << " [";
-      print_witness(os, *tc.concurrency);
-      os << "]";
-    }
-    os << "\n";
-  }
-}
-
 void write_global(util::JsonWriter& w, const cert::GlobalCert& g,
                   const model::TaskSet& ts) {
   w.begin_object();
@@ -463,19 +331,6 @@ void write_federated(util::JsonWriter& w, const cert::FederatedCert& f,
 
 }  // namespace
 
-void render_text(const cert::Certificate& certificate, const model::TaskSet& ts,
-                 std::ostream& os) {
-  os << "certificate '" << certificate.analyzer << "' ("
-     << cert::to_string(certificate.family)
-     << " family, scale = " << certificate.wcet_scale << "): "
-     << (certificate.schedulable ? "schedulable" : "unschedulable") << "\n";
-  if (certificate.global.has_value()) print_global(*certificate.global, ts, os);
-  if (certificate.partitioned.has_value())
-    print_partitioned(*certificate.partitioned, ts, os);
-  if (certificate.federated.has_value())
-    print_federated(*certificate.federated, ts, os);
-}
-
 void render_json(const cert::Certificate& certificate, const model::TaskSet& ts,
                  std::ostream& os) {
   util::JsonWriter w(os);
@@ -500,13 +355,6 @@ void render_json(const cert::Certificate& certificate, const model::TaskSet& ts,
   }
   w.end_object();
   os << "\n";
-}
-
-std::string render_text(const cert::Certificate& certificate,
-                        const model::TaskSet& ts) {
-  std::ostringstream os;
-  render_text(certificate, ts, os);
-  return os.str();
 }
 
 std::string render_json(const cert::Certificate& certificate,

@@ -59,20 +59,8 @@ void render_json(const analysis::Report& report, const model::TaskSet& ts,
 std::string render_text(const analysis::Report& report, const model::TaskSet& ts);
 std::string render_json(const analysis::Report& report, const model::TaskSet& ts);
 
-/// Text rendering of an analysis certificate (analysis/cert.h):
-///
-///   certificate 'partitioned-proposed' (partitioned family, scale = 1): schedulable
-///     bounds: split, require-deadlock-free, max iterations = 100000
-///     core loads: 0.45 0.72
-///     tau_0: converged  R = 12.5 (deadlock-free)
-///     tau_1: eq3-violation  BC node 4 and fork 1 share thread 2
-///
-/// `ts` must be the task set the certificate was produced from (names,
-/// deadlines); out-of-range task/node references render as 'task#<i>'.
-void render_text(const analysis::cert::Certificate& certificate,
-                 const model::TaskSet& ts, std::ostream& os);
-
-/// JSON document for a certificate — a complete dump of the proof payload:
+/// JSON document for an analysis certificate (analysis/cert.h) — a
+/// complete dump of the proof payload:
 ///
 ///   {"tool": "rtpool-certificate", "version": 1, "analyzer": ...,
 ///    "family": "global"|"partitioned"|"federated", "wcet_scale": ...,
@@ -81,12 +69,12 @@ void render_text(const analysis::cert::Certificate& certificate,
 ///                 echo / allocation, with null for infinite times and
 ///                 absent indices ...}}
 ///
+/// `ts` must be the task set the certificate was produced from (task
+/// names); out-of-range task references render as 'task#<i>'.
 /// Parsable back with util::parse_json (round-trip tested).
 void render_json(const analysis::cert::Certificate& certificate,
                  const model::TaskSet& ts, std::ostream& os);
 
-std::string render_text(const analysis::cert::Certificate& certificate,
-                        const model::TaskSet& ts);
 std::string render_json(const analysis::cert::Certificate& certificate,
                         const model::TaskSet& ts);
 

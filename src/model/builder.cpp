@@ -62,29 +62,22 @@ DagTaskBuilder& DagTaskBuilder::priority(int value) {
   return *this;
 }
 
-DagTaskBuilder& DagTaskBuilder::normalize_source_sink(bool enabled) {
-  normalize_ = enabled;
-  return *this;
-}
-
 DagTask DagTaskBuilder::build() const {
   graph::Dag dag = dag_;
   std::vector<Node> nodes = nodes_;
 
-  if (normalize_) {
-    const auto sources = dag.sources();
-    if (sources.size() > 1) {
-      const NodeId dummy = dag.add_node();
-      nodes.push_back(Node{0.0, NodeType::NB});
-      for (NodeId s : sources) dag.add_edge(dummy, s);
-    }
-    const auto sinks = dag.sinks();
-    // Note: the dummy source (out-edges only) can never appear in sinks.
-    if (sinks.size() > 1) {
-      const NodeId dummy = dag.add_node();
-      nodes.push_back(Node{0.0, NodeType::NB});
-      for (NodeId s : sinks) dag.add_edge(s, dummy);
-    }
+  const auto sources = dag.sources();
+  if (sources.size() > 1) {
+    const NodeId dummy = dag.add_node();
+    nodes.push_back(Node{0.0, NodeType::NB});
+    for (NodeId s : sources) dag.add_edge(dummy, s);
+  }
+  const auto sinks = dag.sinks();
+  // Note: the dummy source (out-edges only) can never appear in sinks.
+  if (sinks.size() > 1) {
+    const NodeId dummy = dag.add_node();
+    nodes.push_back(Node{0.0, NodeType::NB});
+    for (NodeId s : sinks) dag.add_edge(s, dummy);
   }
 
   const util::Time deadline = deadline_ < 0.0 ? period_ : deadline_;

@@ -46,16 +46,13 @@ class DagTaskBuilder {
   DagTaskBuilder& deadline(util::Time value);
   DagTaskBuilder& priority(int value);
 
-  /// When enabled (default), a graph with multiple sources/sinks gets a
-  /// zero-WCET dummy NB source/sink so that the single-source/sink model
-  /// restriction holds.
-  DagTaskBuilder& normalize_source_sink(bool enabled);
-
   /// Number of nodes added so far.
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Validate and produce the immutable task. If no deadline was given, the
-  /// deadline defaults to the period (implicit deadlines).
+  /// Validate and produce the immutable task. A graph with multiple
+  /// sources/sinks first gets a zero-WCET dummy NB source/sink so that the
+  /// single-source/sink model restriction holds. If no deadline was given,
+  /// the deadline defaults to the period (implicit deadlines).
   DagTask build() const;
 
  private:
@@ -65,7 +62,6 @@ class DagTaskBuilder {
   util::Time period_ = 0.0;
   util::Time deadline_ = -1.0;  // -1 = "use period"
   int priority_ = 0;
-  bool normalize_ = true;
 };
 
 /// Convenience: the Figure 1(a) task — fork node, `parallel` children,

@@ -144,19 +144,6 @@ NodeId DagTask::join_of(NodeId fork) const {
   return structure_.regions[*structure_.region_index.at(fork)].join;
 }
 
-NodeId DagTask::fork_of(NodeId join) const {
-  if (type(join) != NodeType::BJ)
-    throw ModelError(name_ + ": fork_of requires a BJ node");
-  return structure_.regions[*structure_.region_index.at(join)].fork;
-}
-
-std::vector<NodeId> DagTask::nodes_of_type(NodeType t) const {
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < nodes_.size(); ++v)
-    if (nodes_[v].type == t) out.push_back(v);
-  return out;
-}
-
 DagTask DagTask::with_priority(int priority) const& {
   DagTask copy = *this;
   copy.priority_ = priority;

@@ -115,13 +115,9 @@ class DagTask {
   /// v's completion. Throws ModelError if v is not BC.
   NodeId blocking_fork_of(NodeId v) const;
 
-  /// For a BF node, the matching BJ (the paper's J(v)); and vice versa.
-  /// Throws ModelError if v is not BF (resp. BJ).
+  /// For a BF node, the matching BJ (the paper's J(v)). Throws ModelError
+  /// if v is not BF.
   NodeId join_of(NodeId fork) const;
-  NodeId fork_of(NodeId join) const;
-
-  /// All nodes of a given type, ascending by id.
-  std::vector<NodeId> nodes_of_type(NodeType t) const;
 
   /// Number of BF nodes in the task.
   std::size_t blocking_fork_count() const { return structure_.regions.size(); }

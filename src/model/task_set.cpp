@@ -53,22 +53,6 @@ bool TaskSet::priorities_distinct() const {
   return std::adjacent_find(prios.begin(), prios.end()) == prios.end();
 }
 
-TaskSet assign_deadline_monotonic(const TaskSet& ts) {
-  std::vector<std::size_t> order(ts.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return ts.task(a).deadline() < ts.task(b).deadline();
-  });
-  std::vector<int> prio(ts.size());
-  for (std::size_t rank = 0; rank < order.size(); ++rank)
-    prio[order[rank]] = static_cast<int>(rank);
-
-  TaskSet out(ts.core_count());
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    out.add(ts.task(i).with_priority(prio[i]));
-  return out;
-}
-
 TaskSet assign_deadline_monotonic(TaskSet&& ts) {
   std::vector<std::size_t> order(ts.size());
   std::iota(order.begin(), order.end(), std::size_t{0});

@@ -53,10 +53,10 @@ class TaskSet {
 };
 
 /// Reassign priorities deadline-monotonically (shorter deadline = higher
-/// priority, ties broken by task order); returns a new task set. The rvalue
-/// overload moves every task (and its closure caches) instead of deep
-/// copying — the generator always passes a freshly built set.
-TaskSet assign_deadline_monotonic(const TaskSet& ts);
+/// priority, ties broken by task order); returns a new task set. Takes the
+/// set by rvalue and moves every task (and its closure caches) instead of
+/// deep copying — the generator always passes a freshly built set; pass
+/// `TaskSet(ts)` to keep the original.
 TaskSet assign_deadline_monotonic(TaskSet&& ts);
 
 }  // namespace rtpool::model

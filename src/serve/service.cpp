@@ -13,10 +13,13 @@ namespace rtpool::serve {
 namespace {
 
 void validate_config(const ServiceConfig& config) {
-  if (config.workers == 0)
-    throw std::invalid_argument("AdmissionService: workers must be >= 1");
-  if (config.shards == 0)
-    throw std::invalid_argument("AdmissionService: shards must be >= 1");
+  constexpr std::size_t kMax = ServiceConfig::kMaxWorkersAndShards;
+  if (config.workers == 0 || config.workers > kMax)
+    throw std::invalid_argument("AdmissionService: workers must be in [1, " +
+                                std::to_string(kMax) + "]");
+  if (config.shards == 0 || config.shards > kMax)
+    throw std::invalid_argument("AdmissionService: shards must be in [1, " +
+                                std::to_string(kMax) + "]");
   if (config.batch == 0)
     throw std::invalid_argument("AdmissionService: batch must be >= 1");
   analysis::get_analyzer(config.analyzer);  // throws listing known names
@@ -65,14 +68,7 @@ std::string encode_stats(const std::string& id, const ServiceStats& stats,
 AdmissionService::AdmissionService(ServiceConfig config)
     : base_config_((validate_config(config), config)),
       pool_(config.workers, exec::ThreadPool::QueueMode::kPerWorker,
-            /*steal=*/false),
-      controller_(
-          [&] {
-            exec::ModeChangeConfig mc;
-            mc.analyzer = config.analyzer;
-            return mc;
-          }(),
-          &pool_) {
+            /*steal=*/false) {
   util::MutexLock lock(epoch_mutex_);
   epoch_ = make_epoch(std::move(config), /*version=*/1);
 }
@@ -537,10 +533,19 @@ ServiceConfig AdmissionService::reload(
     }
   }
 
-  // Worker delta through the guarded mode-change path: analyze, drain,
-  // commit (add_workers / retire_workers), log the transition.
-  if (next.workers != pool_.worker_count())
-    controller_.resize(next.workers);
+  // Worker delta. No dispatch closure is running (paused above), so there
+  // is nothing to drain first.
+  const std::size_t live = pool_.worker_count();
+  try {
+    if (next.workers > live)
+      pool_.add_workers(next.workers - live);
+    else if (next.workers < live)
+      pool_.retire_workers(live - next.workers);
+  } catch (const std::exception&) {
+    // The pool refused: it keeps its old size, which the stats response
+    // reports as pool_workers next to the configured workers. Dispatch
+    // resumes either way.
+  }
 
   reloads_.fetch_add(1, std::memory_order_relaxed);
   {

@@ -49,9 +49,9 @@
 // their current batches (queued submissions stay queued — nothing is
 // dropped or answered under a half-installed config), swaps the epoch
 // (analyzer / shards / batch / cache) and only THEN re-routes the old
-// epoch's queues into the new shards, applies a worker delta through
-// exec::ModeChangeController::resize — the guarded DRAIN→COMMIT transition,
-// which also logs the change — and resumes. Requests that were dispatched
+// epoch's queues into the new shards, applies a worker delta directly to
+// the pool (ThreadPool::add_workers / retire_workers; a resize the pool
+// refuses keeps the old pool size) and resumes. Requests that were dispatched
 // before the reload complete under the old epoch (they hold a shared_ptr
 // to it); requests still queued run under the new one. The
 // swap-before-re-route order pairs with a re-check in enqueue(): a racing
@@ -74,7 +74,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/rta_context.h"
-#include "exec/mode_change.h"
 #include "exec/thread_pool.h"
 #include "model/task_set.h"
 #include "serve/protocol.h"
@@ -83,6 +82,11 @@
 namespace rtpool::serve {
 
 struct ServiceConfig {
+  /// Upper bound on `workers` and on `shards`, checked at construction and
+  /// on every reload before anything is started: a reload request cannot
+  /// make the service spawn unbounded threads or shard contexts.
+  static constexpr std::size_t kMaxWorkersAndShards = 1024;
+
   std::string analyzer = "global-limited";  ///< Default registry analyzer.
   std::size_t workers = 4;  ///< Pool workers executing dispatch closures.
   std::size_t shards = 4;   ///< Context shards (>= 1).
@@ -126,8 +130,9 @@ class AdmissionService {
   /// workload static_asserts its system count below it.
   static constexpr std::size_t kMaxFamilies = 16;
 
-  /// Validates the config (>= 1 worker/shard/batch, known analyzer name;
-  /// std::invalid_argument otherwise) and spawns the worker pool.
+  /// Validates the config (1..kMaxWorkersAndShards workers and shards,
+  /// >= 1 batch, known analyzer name; std::invalid_argument otherwise) and
+  /// spawns the worker pool.
   explicit AdmissionService(ServiceConfig config);
 
   /// Drains every queued request (nothing submitted is ever dropped), then
@@ -148,7 +153,8 @@ class AdmissionService {
   /// Hot reconfiguration (see file header). Fields left empty keep their
   /// current value. Blocks until the new config is committed; concurrent
   /// reloads serialize. Returns the committed config. Throws
-  /// std::invalid_argument on an unknown analyzer (the old config stays).
+  /// std::invalid_argument on a config the constructor would reject (the
+  /// old config stays).
   ServiceConfig reload(const std::optional<std::string>& analyzer,
                        std::optional<std::size_t> workers,
                        std::optional<std::size_t> shards,
@@ -169,12 +175,6 @@ class AdmissionService {
   ServiceConfig config() const;
   std::uint64_t config_version() const {
     return config_version_.load(std::memory_order_acquire);
-  }
-
-  /// The pool-resize transition log (exec::ModeChangeController's replay
-  /// artifact): one guarded DRAIN→COMMIT entry per worker-count change.
-  std::vector<exec::ModeTransition> transition_log() const {
-    return controller_.transition_log();
   }
 
  private:
@@ -316,7 +316,6 @@ class AdmissionService {
   ServiceConfig base_config_;  ///< Only for config(); epochs hold the truth.
 
   exec::ThreadPool pool_;
-  exec::ModeChangeController controller_;
 
   mutable util::Mutex epoch_mutex_;
   std::shared_ptr<Epoch> epoch_ RTPOOL_GUARDED_BY(epoch_mutex_);

@@ -1,7 +1,7 @@
 // Fixed-capacity dynamic bitset used for reachability closures.
 //
 // std::vector<bool> lacks word-level operations; this class stores 64-bit
-// words and supports the bulk OR/AND/ANDNOT and popcount operations the
+// words and supports the bulk AND/ANDNOT and popcount operations the
 // graph closure and the concurrency analysis (set C(v), Section 3.1 of the
 // paper) are built on.
 //
@@ -137,26 +137,6 @@ class DynamicBitset {
     return true;
   }
 
-  /// True if any bit is set in both this and `other` (sizes must match).
-  bool intersects(const DynamicBitset& other) const {
-    check_compatible(other);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if ((words_[i] & other.words_[i]) != 0) return true;
-    return false;
-  }
-
-  /// this |= other (sizes must match). Returns true if any bit changed.
-  bool or_assign(const DynamicBitset& other) {
-    check_compatible(other);
-    bool changed = false;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      const std::uint64_t merged = words_[i] | other.words_[i];
-      changed = changed || (merged != words_[i]);
-      words_[i] = merged;
-    }
-    return changed;
-  }
-
   /// this &= other (sizes must match).
   void and_assign(const DynamicBitset& other) {
     check_compatible(other);
@@ -180,25 +160,11 @@ class DynamicBitset {
     const std::uint64_t* w = other.words().data();
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~w[i];
   }
-  bool or_assign(BitsetView other) {
-    check_compatible(other);
-    const std::uint64_t* w = other.words().data();
-    bool changed = false;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      const std::uint64_t merged = words_[i] | w[i];
-      changed = changed || (merged != words_[i]);
-      words_[i] = merged;
-    }
-    return changed;
-  }
 
   /// Raw 64-bit words, little-endian bit order; bits past `size()` are 0.
   /// For callers that fuse several set operations into one word sweep
   /// (the analysis blocking kernel) instead of materializing temporaries.
   std::span<const std::uint64_t> words() const { return words_; }
-
-  /// Indices of all set bits, ascending.
-  std::vector<std::size_t> to_indices() const;
 
   /// Visit all set bits in ascending order.
   template <typename Fn>

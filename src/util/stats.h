@@ -6,23 +6,18 @@
 
 namespace rtpool::util {
 
-/// Streaming accumulator for mean/min/max/stddev (Welford).
+/// Streaming accumulator for the mean (Welford's update) and the maximum.
 class RunningStats {
  public:
   void add(double x);
 
   std::size_t count() const { return n_; }
-  double mean() const;
-  double variance() const;   ///< Sample variance (n-1); 0 if n < 2.
-  double stddev() const;
-  double min() const;        ///< NaN if empty.
+  double mean() const;       ///< 0 if empty.
   double max() const;        ///< NaN if empty.
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
 

@@ -10,8 +10,8 @@
 //    swapping an antichain member for a comparable fork, overloading a
 //    core, inflating a federated allocation, …) is rejected with the
 //    expected CheckFailureKind;
-//  * renderers — lint::render_json output parses back, render_text names
-//    the analyzer.
+//  * renderer — lint::render_json output parses back and names the
+//    analyzer and its tasks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -418,9 +418,10 @@ TEST(CertRenderTest, JsonRoundTripsAndTextNamesAnalyzer) {
     EXPECT_EQ(v.at("schedulable").as_bool(), rep.schedulable);
     EXPECT_EQ(v.at("family").as_string(),
               std::string(cert::to_string(rep.certificate->family)));
-    const std::string text = lint::render_text(*rep.certificate, ts);
-    EXPECT_NE(text.find(name), std::string::npos);
-    EXPECT_NE(text.find(ts.task(0).name()), std::string::npos);
+    const util::JsonValue& per_task =
+        v.at(cert::to_string(rep.certificate->family)).at("per_task");
+    ASSERT_EQ(per_task.as_array().size(), ts.size());
+    EXPECT_EQ(per_task.as_array()[0].at("task").as_string(), ts.task(0).name());
   }
 }
 

@@ -64,9 +64,13 @@ TEST(ConcurrencyTest, NoBlockingForksMeansFullConcurrency) {
 TEST(ConcurrencyTest, SingleRegion) {
   const auto [t, fork, join, child] = one_region();
 
-  // The fork is ordered with every node, so C(v) is empty everywhere.
-  for (NodeId v = 0; v < t.node_count(); ++v)
-    EXPECT_TRUE(concurrent_blocking_forks(t, v).none()) << "v=" << v;
+  // The fork is ordered with every node, so C(v) is empty everywhere and
+  // X(v) holds at most the own barrier fork F(v) of a BC node.
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    util::DynamicBitset c = affecting_blocking_forks(t, v);
+    if (t.type(v) == NodeType::BC) c.reset(t.blocking_fork_of(v));
+    EXPECT_TRUE(c.none()) << "v=" << v;
+  }
 
   // X(child) = {F(child)} = {fork}; X elsewhere empty.
   const auto x_child = affecting_blocking_forks(t, child);
@@ -85,8 +89,8 @@ TEST(ConcurrencyTest, TwoParallelRegions) {
   const auto r = two_regions();
   const DagTask& t = r.task;
 
-  // The two forks are mutually concurrent.
-  const auto c_f1 = concurrent_blocking_forks(t, r.f1);
+  // The two forks are mutually concurrent (a fork's X(v) is its C(v)).
+  const auto c_f1 = affecting_blocking_forks(t, r.f1);
   EXPECT_EQ(c_f1.count(), 1u);
   EXPECT_TRUE(c_f1.test(r.f2));
 
@@ -113,13 +117,14 @@ TEST(ConcurrencyTest, TwoParallelRegions) {
 
 TEST(ConcurrencyTest, NodeNeverConcurrentWithItself) {
   const auto r = two_regions();
-  EXPECT_FALSE(concurrent_blocking_forks(r.task, r.f1).test(r.f1));
-  EXPECT_FALSE(concurrent_blocking_forks(r.task, r.f2).test(r.f2));
+  EXPECT_FALSE(affecting_blocking_forks(r.task, r.f1).test(r.f1));
+  EXPECT_FALSE(affecting_blocking_forks(r.task, r.f2).test(r.f2));
 }
 
 TEST(ConcurrencyTest, AllAffectingForksMatchesPerNode) {
   const auto r = two_regions();
-  const auto all = all_affecting_forks(r.task);
+  std::vector<util::DynamicBitset> all;
+  all_affecting_forks(r.task, all);
   ASSERT_EQ(all.size(), r.task.node_count());
   for (NodeId v = 0; v < r.task.node_count(); ++v)
     EXPECT_EQ(all[v], affecting_blocking_forks(r.task, v)) << "v=" << v;
@@ -146,7 +151,8 @@ TEST_P(ConcurrencyPropertyTest, BatchMatchesBruteForce) {
   params.cores = 8;
   const DagTask t = gen::generate_task(params, 0, 0.5, rng);
   const auto& reach = t.reachability();
-  const auto all = all_affecting_forks(t);
+  std::vector<util::DynamicBitset> all;
+  all_affecting_forks(t, all);
 
   for (NodeId v = 0; v < t.node_count(); ++v) {
     util::DynamicBitset expect(t.node_count());

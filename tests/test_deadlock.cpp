@@ -2,6 +2,7 @@
 // (Lemmas 1-3 applied through the l̄ lower bound and Eq. (3)).
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.h"
 #include "analysis/deadlock.h"
 #include "model/builder.h"
 
@@ -202,14 +203,21 @@ TEST(WitnessTest, Eq3AllViolationsReported) {
 }
 
 TEST(TaskSetDeadlockTest, AppliesPerTask) {
+  // The global limited-concurrency analysis applies Lemma 1 to every task.
+  const Analyzer& global = get_analyzer("global-limited");
   model::TaskSet ts(2);
   ts.add(one_region_task().with_priority(0));
   ts.add(model::make_fork_join_task("plain", 2, 1.0, 50.0, false).with_priority(1));
-  EXPECT_TRUE(task_set_deadlock_free_global(ts));
+  const Report free = global.analyze(ts);
+  ASSERT_EQ(free.per_task.size(), 2u);
+  EXPECT_EQ(free.per_task[0].concurrency_bound, 1);
+  EXPECT_EQ(free.per_task[1].concurrency_bound, 2);
 
   model::TaskSet tight(1);
   tight.add(one_region_task());
-  EXPECT_FALSE(task_set_deadlock_free_global(tight));
+  const Report stalls = global.analyze(tight);
+  EXPECT_EQ(stalls.per_task[0].concurrency_bound, 0);
+  EXPECT_FALSE(stalls.schedulable);
 }
 
 TEST(TaskSetDeadlockTest, PartitionedWholeSet) {

@@ -50,10 +50,11 @@ DagTask two_region_task() {
 }
 
 TEST(ThreadPoolTest, ExecutesSubmittedClosures) {
-  ThreadPool pool(4);
+  // Declared before the pool: it joins its workers before these die.
   std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(4);
   for (int i = 0; i < 100; ++i)
     pool.submit([&] {
       if (count.fetch_add(1) + 1 == 100) {
@@ -398,10 +399,11 @@ TEST(ThreadPoolTest, ChurnStress) {
 
   // One controlled round: waiting for the work guarantees execution.
   {
-    ThreadPool pool(2);
+    // Declared before the pool: it joins its workers before these die.
     std::mutex mu;
     std::condition_variable cv;
     std::atomic<int> done{0};
+    ThreadPool pool(2);
     for (int i = 0; i < 50; ++i)
       pool.submit([&] {
         if (done.fetch_add(1) + 1 == 50) {
@@ -538,7 +540,7 @@ TEST(ThreadPoolTest, ThrowingClosureContainedAndWorkerSurvives) {
 
 // ---------------------------------------------------------------------------
 // Stealing suppression during partitioned runs (the Eq. (3) placement must
-// be enforced at runtime, or bypassed LOUDLY).
+// be enforced at runtime).
 
 TEST(GraphExecutorTest, PartitionedRunSuppressesStealing) {
   const DagTask task = fig1_task();
@@ -563,26 +565,8 @@ TEST(GraphExecutorTest, PartitionedRunSuppressesStealing) {
     if (ThreadPool::current_worker() != thread_of[v]) placement_honored = false;
   });
   EXPECT_TRUE(report.completed);
-  EXPECT_FALSE(report.stealing_bypassed_assignment);
   EXPECT_TRUE(placement_honored);
   EXPECT_EQ(pool.steals(), 0u);
-}
-
-TEST(GraphExecutorTest, OptInStealingWithAssignmentIsFlagged) {
-  const DagTask task = fig1_task();
-  ThreadPool pool(2, ThreadPool::QueueMode::kPerWorker, /*steal=*/true);
-  std::vector<analysis::ThreadId> thread_of(task.node_count(), 1);
-  const auto& region = task.blocking_regions()[0];
-  thread_of[region.fork] = 0;
-  thread_of[region.join] = 0;
-  ExecOptions options;
-  options.assignment = analysis::NodeAssignment{thread_of};
-  options.allow_stealing_with_assignment = true;
-
-  GraphExecutor exec(pool, task);
-  const ExecReport report = exec.run_blocking(options);
-  EXPECT_TRUE(report.completed);
-  EXPECT_TRUE(report.stealing_bypassed_assignment);  // the loud flag
 }
 
 // ---------------------------------------------------------------------------
@@ -622,15 +606,16 @@ TEST(ThreadPoolTest, EmergencyWorkerDrainsTargetedQueues) {
 // Elastic pool: dynamic workers, dead-worker recovery, accounting.
 
 TEST(ThreadPoolElasticTest, AddWorkersGrowsThePool) {
+  // Declared before the pool: it joins its workers before these die.
+  std::atomic<int> count{0};
+  std::mutex mu;
+  std::condition_variable cv;
   ThreadPool pool(2);
   EXPECT_EQ(pool.worker_count(), 2u);
   EXPECT_EQ(pool.add_workers(2), 4u);
   EXPECT_EQ(pool.worker_count(), 4u);
   EXPECT_EQ(pool.slot_count(), 4u);
 
-  std::atomic<int> count{0};
-  std::mutex mu;
-  std::condition_variable cv;
   for (int i = 0; i < 200; ++i)
     pool.submit([&] {
       if (count.fetch_add(1) + 1 == 200) {
@@ -662,13 +647,14 @@ TEST(ThreadPoolElasticTest, AddedWorkersServeTargetedQueues) {
 }
 
 TEST(ThreadPoolElasticTest, RetireWorkersDrainsQueuedWork) {
-  ThreadPool pool(3, ThreadPool::QueueMode::kPerWorker);
-  // Park worker 2 behind a gate so its queue backs up, then retire it: the
-  // drain protocol must hand the queued closures to the survivors.
+  // Declared before the pool: it joins its workers before these die.
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
   std::atomic<int> done{0};
+  ThreadPool pool(3, ThreadPool::QueueMode::kPerWorker);
+  // Park worker 2 behind a gate so its queue backs up, then retire it: the
+  // drain protocol must hand the queued closures to the survivors.
   pool.submit_to(2, [&] {
     std::unique_lock lock(mu);
     cv.wait(lock, [&] { return release; });
@@ -750,12 +736,13 @@ TEST(ThreadPoolElasticTest, DeathRequeuesInFlightClosureExactlyOnce) {
 }
 
 TEST(ThreadPoolElasticTest, CondemnRedistributesQueuedWork) {
-  // No stealing: only condemn's hand-back can move worker 0's queue.
-  ThreadPool pool(2, ThreadPool::QueueMode::kPerWorker, /*steal=*/false);
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
   std::atomic<int> done{0};
+  // No stealing: only condemn's hand-back can move worker 0's queue. The
+  // pool joins its workers before the objects above die.
+  ThreadPool pool(2, ThreadPool::QueueMode::kPerWorker, /*steal=*/false);
   pool.submit_to(0, [&] {
     std::unique_lock lock(mu);
     cv.wait(lock, [&] { return release; });
@@ -855,6 +842,10 @@ TEST(GraphExecutorTest, SuppressStealingReleasedAfterStallError) {
   // kFailFast throws StallError out of run_blocking while a
   // SuppressStealing scope for the partitioned assignment is alive: the
   // RAII release must run during unwinding or the pool never steals again.
+  // Declared before the pool: it joins its workers before these die.
+  std::atomic<int> count{0};
+  std::mutex mu;
+  std::condition_variable cv;
   ThreadPool pool(2, ThreadPool::QueueMode::kPerWorker, /*steal=*/true);
   const DagTask task = fig1_task();
   ExecOptions options;
@@ -868,9 +859,6 @@ TEST(GraphExecutorTest, SuppressStealingReleasedAfterStallError) {
 
   // And the pool still steals: queue work behind the (still live) blocked
   // placement target and let another worker take it.
-  std::atomic<int> count{0};
-  std::mutex mu;
-  std::condition_variable cv;
   for (int i = 0; i < 4; ++i)
     pool.submit_to(i % 2, [&] {
       if (count.fetch_add(1) + 1 == 4) {

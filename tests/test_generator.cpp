@@ -85,9 +85,6 @@ TEST(NfjGeneratorTest, BlockingRegionsAppearFrequently) {
 TEST(NfjGeneratorTest, RejectsBadParams) {
   util::Rng rng(1);
   NfjParams p;
-  p.parallel_prob = 1.5;
-  EXPECT_THROW(generate_nfj_graph(p, rng), std::invalid_argument);
-  p = NfjParams{};
   p.max_depth = 0;
   EXPECT_THROW(generate_nfj_graph(p, rng), std::invalid_argument);
   p = NfjParams{};
@@ -101,9 +98,6 @@ TEST(NfjGeneratorTest, RejectsBadParams) {
   EXPECT_THROW(generate_nfj_graph(p, rng), std::invalid_argument);
   p = NfjParams{};
   p.wcet_min = -1.0;
-  EXPECT_THROW(generate_nfj_graph(p, rng), std::invalid_argument);
-  p = NfjParams{};
-  p.blocking_bias = 2.0;
   EXPECT_THROW(generate_nfj_graph(p, rng), std::invalid_argument);
 }
 

@@ -163,7 +163,8 @@ TEST_P(IoMutationTest, MutatedInputNeverCrashes) {
       const model::TaskSet parsed = model::read_task_set(in);
       // If it parsed, the resulting tasks are fully validated objects:
       // exercising an analysis must not blow up.
-      (void)analysis::task_set_deadlock_free_global(parsed);
+      for (const model::DagTask& task : parsed.tasks())
+        (void)analysis::check_deadlock_free_global(task, parsed.core_count());
     } catch (const model::ParseError&) {
     } catch (const model::ModelError&) {
     }

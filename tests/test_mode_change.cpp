@@ -196,18 +196,6 @@ TEST(ModeChangeTest, ResizeIntoFig1cDeadlockRolledBackByCrossCheck) {
   EXPECT_EQ(controller.mode().task_set->size(), 1u);
 }
 
-TEST(ModeChangeTest, CrossCheckFailureCommitsLoudlyWhenNotRequired) {
-  ModeChangeConfig config;
-  config.analyzer = "global-baseline";
-  config.cores = 2;
-  config.require_cross_check = false;
-  ModeChangeController controller(config);
-  const ModeTransition tr = controller.admit(fig1c_task(0));
-  EXPECT_TRUE(tr.accepted);
-  EXPECT_FALSE(tr.cross_check_ok);  // recorded loudly...
-  EXPECT_TRUE(tr.committed);        // ...but committed as configured
-}
-
 // ---------------------------------------------------------------------------
 // Incremental-equals-cold: the property the verdict copy must preserve.
 

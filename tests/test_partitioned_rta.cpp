@@ -6,6 +6,7 @@
 
 #include "analysis/partition.h"
 #include "analysis/partitioned_rta.h"
+#include "analysis/rta_context.h"
 #include "gen/taskset_generator.h"
 #include "model/builder.h"
 
@@ -173,7 +174,9 @@ TEST(PartitionedRtaTest, PublicKernelsMatchHandComputedValues) {
   NodeAssignment a;
   a.thread_of = {0, 0, 1, 1};
 
-  const auto w = per_core_workload_vector(ts.task(0), a, 2);
+  RtaContext ctx(ts);
+  ctx.bind_partition(TaskSetPartition{{a}});
+  const auto w = ctx.core_workload(0);
   ASSERT_EQ(w.size(), 2u);
   EXPECT_NEAR(w[0], 2.0, 1e-12);  // fork + join
   EXPECT_NEAR(w[1], 2.0, 1e-12);  // both children
@@ -191,7 +194,8 @@ TEST(PartitionedRtaTest, PublicKernelsMatchHandComputedValues) {
   EXPECT_NEAR(b2[2], 0.0, 1e-12);
   EXPECT_NEAR(b2[3], 0.0, 1e-12);
 
-  EXPECT_THROW(per_core_workload_vector(ts.task(0), a, 1), model::ModelError);
+  a.thread_of = {0, 0, 0, 2};  // m = 2 -> max thread id 1
+  EXPECT_THROW(ctx.bind_partition(TaskSetPartition{{a}}), model::ModelError);
   NodeAssignment bad;
   bad.thread_of = {0};
   EXPECT_THROW(fifo_blocking_vector(ts.task(0), bad), model::ModelError);

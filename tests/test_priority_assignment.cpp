@@ -112,7 +112,7 @@ TEST_P(AudsleyPropertyTest, DominatesDeadlineMonotonic) {
 
   // DM under the SAME OPA-compatible test: every task must pass at its DM
   // position, i.e. checking each task at the bottom of its suffix.
-  const TaskSet dm = model::assign_deadline_monotonic(ts);
+  const TaskSet dm = model::assign_deadline_monotonic(TaskSet(ts));
   const auto order = dm.priority_order();
   bool dm_ok = true;
   for (std::size_t k = 0; k < order.size() && dm_ok; ++k) {

@@ -100,14 +100,14 @@ TEST(RtaContextTest, WorkloadVectorRejectsOutOfRangeThreads) {
   NodeAssignment bad;
   bad.thread_of.assign(ts.task(0).node_count(),
                        static_cast<ThreadId>(ts.core_count()));  // one past end
-  EXPECT_THROW(per_core_workload_vector(ts.task(0), bad, ts.core_count()),
-               model::ModelError);
 
   TaskSetPartition partition;
   for (std::size_t i = 0; i < ts.size(); ++i)
     partition.per_task.push_back(
         {std::vector<ThreadId>(ts.task(i).node_count(), 0)});
   partition.per_task[0] = bad;
+  RtaContext ctx(ts);
+  EXPECT_THROW(ctx.bind_partition(partition), model::ModelError);
   EXPECT_THROW(analyze_partitioned(ts, partition), model::ModelError);
 }
 

@@ -397,8 +397,35 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
   EXPECT_EQ(stats.received, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
   EXPECT_GE(stats.reloads, 1u);
-  // The worker delta went through the guarded mode-change transition.
-  EXPECT_FALSE(service.transition_log().empty());
+  // The worker delta reached the pool: the stats response reports it.
+  Request stats_request;
+  stats_request.kind = Request::Kind::kStats;
+  const util::JsonValue reply =
+      util::parse_json(submit_sync(service, stats_request));
+  EXPECT_EQ(reply.at("config").at("pool_workers").as_number(), 1.0);
+}
+
+TEST(AdmissionServiceTest, RejectsWorkerAndShardCountsAboveTheBound) {
+  // Validation runs before any thread or shard exists, at construction and
+  // on reload, so these calls start nothing they reject.
+  constexpr std::size_t kTooMany = ServiceConfig::kMaxWorkersAndShards + 1;
+  ServiceConfig too_many_workers;
+  too_many_workers.workers = kTooMany;
+  EXPECT_THROW(AdmissionService{too_many_workers}, std::invalid_argument);
+  ServiceConfig too_many_shards;
+  too_many_shards.shards = kTooMany;
+  EXPECT_THROW(AdmissionService{too_many_shards}, std::invalid_argument);
+
+  AdmissionService service(ServiceConfig{});
+  EXPECT_THROW(service.reload(std::nullopt, kTooMany, std::nullopt,
+                              std::nullopt, std::nullopt),
+               std::invalid_argument);
+  EXPECT_THROW(service.reload(std::nullopt, std::nullopt, kTooMany,
+                              std::nullopt, std::nullopt),
+               std::invalid_argument);
+  EXPECT_EQ(service.config_version(), 1u);
+  EXPECT_EQ(service.config().workers, ServiceConfig{}.workers);
+  EXPECT_EQ(service.config().shards, ServiceConfig{}.shards);
 }
 
 TEST(AdmissionServiceTest, ReloadKeepingShardCountSwitchesAnalyzerAndCache) {

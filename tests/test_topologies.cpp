@@ -1,4 +1,4 @@
-// Unit tests for the structured topology builders (gen/topologies.h).
+// Unit tests for the structured topology builder (gen/topologies.h).
 #include <gtest/gtest.h>
 
 #include "analysis/antichain.h"
@@ -8,8 +8,6 @@
 
 namespace rtpool::gen {
 namespace {
-
-using model::NodeType;
 
 TopologyOptions opts(bool blocking, util::Time period = 10000.0) {
   TopologyOptions o;
@@ -36,52 +34,15 @@ TEST(TopologyTest, DnnNonBlockingHasNoRegions) {
   EXPECT_EQ(analysis::max_affecting_forks(t), 0u);
 }
 
-TEST(TopologyTest, MapReduceStructure) {
-  util::Rng rng(2);
-  const auto t = make_map_reduce_task("mr", 8, opts(true), rng);
-  EXPECT_EQ(t.blocking_fork_count(), 1u);
-  EXPECT_EQ(analysis::max_affecting_forks(t), 1u);
-  // The reduce tree funnels into a single sink.
-  EXPECT_EQ(t.dag().out_degree(t.sink()), 0u);
-  EXPECT_EQ(t.type(t.sink()), NodeType::NB);
-}
-
-TEST(TopologyTest, MapReduceMinimumMappers) {
-  util::Rng rng(2);
-  EXPECT_THROW(make_map_reduce_task("mr", 1, opts(true), rng),
-               std::invalid_argument);
-  const auto t = make_map_reduce_task("mr", 2, opts(true), rng);
-  EXPECT_GE(t.node_count(), 6u);
-}
-
 TEST(TopologyTest, PipelineRegionsNeverOverlap) {
+  // One operator per layer is a software pipeline: 5 barrier-separated
+  // stages, each a parallel-for over 6 kernels.
   util::Rng rng(3);
-  const auto t = make_pipeline_task("pipe", 5, 6, opts(true), rng);
+  const auto t = make_dnn_task("pipe", 5, 1, 6, opts(true), rng);
   EXPECT_EQ(t.blocking_fork_count(), 5u);
   // Stages are barrier-separated: only one region live at a time.
   EXPECT_EQ(analysis::max_simultaneous_suspensions(t), 1u);
   EXPECT_EQ(analysis::max_affecting_forks(t), 1u);
-}
-
-TEST(TopologyTest, WavefrontDependencies) {
-  util::Rng rng(4);
-  const auto t = make_wavefront_task("wave", 4, 5, opts(true), rng);
-  EXPECT_EQ(t.node_count(), 20u);
-  EXPECT_EQ(t.blocking_fork_count(), 0u);  // blocking ignored by design
-  // Critical path visits rows+cols-1 cells.
-  const auto& path = t.critical_path();
-  EXPECT_EQ(path.size(), 4u + 5u - 1u);
-}
-
-TEST(TopologyTest, DivideConquerConcurrencyGrowsExponentially) {
-  util::Rng rng(5);
-  for (int depth : {1, 2, 3, 4}) {
-    const auto t = make_divide_conquer_task("dc", depth, opts(true), rng);
-    const auto expected = static_cast<std::size_t>(1) << (depth - 1);
-    EXPECT_EQ(t.blocking_fork_count(), expected) << "depth=" << depth;
-    EXPECT_EQ(analysis::max_simultaneous_suspensions(t), expected)
-        << "depth=" << depth;
-  }
 }
 
 TEST(TopologyTest, ValidationErrors) {
@@ -90,25 +51,21 @@ TEST(TopologyTest, ValidationErrors) {
   bad.period = 0.0;
   EXPECT_THROW(make_dnn_task("x", 1, 1, 1, bad, rng), std::invalid_argument);
   EXPECT_THROW(make_dnn_task("x", 0, 1, 1, opts(true), rng), std::invalid_argument);
-  EXPECT_THROW(make_pipeline_task("x", 0, 1, opts(true), rng), std::invalid_argument);
-  EXPECT_THROW(make_wavefront_task("x", 0, 3, opts(true), rng), std::invalid_argument);
-  EXPECT_THROW(make_divide_conquer_task("x", 0, opts(true), rng),
-               std::invalid_argument);
+  EXPECT_THROW(make_dnn_task("x", 1, 0, 1, opts(true), rng), std::invalid_argument);
+  EXPECT_THROW(make_dnn_task("x", 1, 1, 0, opts(true), rng), std::invalid_argument);
   TopologyOptions bad_wcet = opts(true);
   bad_wcet.wcet_max = 0.5;  // < wcet_min
-  EXPECT_THROW(make_pipeline_task("x", 1, 1, bad_wcet, rng), std::invalid_argument);
+  EXPECT_THROW(make_dnn_task("x", 1, 1, 1, bad_wcet, rng), std::invalid_argument);
 }
 
-/// Every topology simulates cleanly on a big-enough pool (blocking variant
-/// included): construction produced executable, deadlock-free structures.
+/// The topology simulates cleanly on a big-enough pool in both typings:
+/// construction produced executable, deadlock-free structures.
 TEST(TopologyTest, AllTopologiesSimulate) {
   util::Rng rng(7);
   std::vector<model::DagTask> tasks;
   tasks.push_back(make_dnn_task("dnn", 2, 2, 3, opts(true), rng));
-  tasks.push_back(make_map_reduce_task("mr", 6, opts(true), rng));
-  tasks.push_back(make_pipeline_task("pipe", 3, 4, opts(true), rng));
-  tasks.push_back(make_wavefront_task("wave", 3, 3, opts(true), rng));
-  tasks.push_back(make_divide_conquer_task("dc", 3, opts(true), rng));
+  tasks.push_back(make_dnn_task("wide", 3, 4, 2, opts(true), rng));
+  tasks.push_back(make_dnn_task("plain", 2, 3, 3, opts(false), rng));
 
   for (auto& task : tasks) {
     const std::size_t m =

