@@ -321,4 +321,21 @@ void BM_TaskSetGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskSetGeneration);
 
+// The fig2_lmax4 point's generator: b̄ pinned to 4, so every task runs the
+// concurrent-span selection and typing (and about half the skeletons are
+// drawn again as too shallow).
+void BM_TaskSetGenerationBlockingWindow(benchmark::State& state) {
+  gen::TaskSetParams params;
+  params.cores = 8;
+  params.task_count = 6;
+  params.nfj.min_branches = 3;
+  params.nfj.max_branches = 5;
+  params.blocking_window = gen::BlockingWindow{4, 4};
+  params.total_utilization = 3.6;
+  util::Rng rng(48);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(gen::generate_task_set(params, rng).size());
+}
+BENCHMARK(BM_TaskSetGenerationBlockingWindow);
+
 }  // namespace

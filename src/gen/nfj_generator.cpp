@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "graph/reachability.h"
-
 namespace rtpool::gen {
 
 double draw_wcet(WcetDist dist, double wcet_min, double wcet_max,
@@ -71,10 +69,13 @@ class GraphBuilder {
     // just fall back to vector growth.
     out.dag.reserve(64);
     out.nodes.reserve(64);
+    out.fork_joins.reserve(16);
+    chains_.reserve(32);
 
     const NodeId src = terminal(NodeType::NB);
     // Force the outermost expansion so tasks are actually parallel.
-    const auto [entry, exit] = block(/*depth=*/1, /*inside_blocking=*/false,
+    const auto [entry, exit] = block(/*depth=*/1, /*branch=*/0,
+                                     /*inside_blocking=*/false,
                                      /*force_parallel=*/true);
     const NodeId snk = terminal(NodeType::NB);
     // Every edge the builder adds has a freshly created endpoint, so the
@@ -99,7 +100,9 @@ class GraphBuilder {
     return id;
   }
 
-  Span block(int depth, bool inside_blocking, bool force_parallel) {
+  /// `branch` is the enclosing span's branch this block lies in.
+  Span block(int depth, std::size_t branch, bool inside_blocking,
+             bool force_parallel) {
     const bool expand = depth <= params_.max_depth &&
                         (force_parallel || rng_.bernoulli(kParallelProb));
     if (!expand) {
@@ -121,6 +124,7 @@ class GraphBuilder {
                                : inside_blocking ? NodeType::BC
                                                  : NodeType::NB;
     const NodeId fork = terminal(delim_fork);
+    const std::size_t first_inner = spans_->size();
     const bool inner_blocking = inside_blocking || blocking;
 
     const bool outermost = depth == 1;
@@ -129,25 +133,32 @@ class GraphBuilder {
             ? params_.force_outer_branches
             : static_cast<int>(
                   rng_.uniform_int(params_.min_branches, params_.max_branches));
-    std::vector<Span> spans;
-    spans.reserve(static_cast<std::size_t>(branches));
-    for (int b = 0; b < branches; ++b) {
+    // This block's branch chains sit on chains_ above `first_chain`; the
+    // nested calls below push and pop their own above them.
+    const std::size_t first_chain = chains_.size();
+    for (std::size_t b = 0; b < static_cast<std::size_t>(branches); ++b) {
       const auto series = static_cast<int>(rng_.uniform_int(1, params_.max_series));
-      Span chain = block(depth + 1, inner_blocking, false);
+      Span chain = block(depth + 1, b, inner_blocking, false);
       for (int s = 1; s < series; ++s) {
-        const Span next = block(depth + 1, inner_blocking, false);
+        const Span next = block(depth + 1, b, inner_blocking, false);
         dag_->add_edge_unchecked(chain.exit, next.entry);
         chain.exit = next.exit;
       }
-      spans.push_back(chain);
+      chains_.push_back(chain);
     }
 
     const NodeId join = terminal(delim_join);
-    for (const Span& s : spans) {
-      dag_->add_edge_unchecked(fork, s.entry);
-      dag_->add_edge_unchecked(s.exit, join);
+    for (std::size_t c = first_chain; c < chains_.size(); ++c) {
+      dag_->add_edge_unchecked(fork, chains_[c].entry);
+      dag_->add_edge_unchecked(chains_[c].exit, join);
     }
-    spans_->push_back(ForkJoinSpan{fork, join, depth});
+    chains_.resize(first_chain);
+    // Spans built since the fork lie inside this one; those still without a
+    // parent are its direct children.
+    const std::size_t self = spans_->size();
+    for (std::size_t i = first_inner; i < self; ++i)
+      if ((*spans_)[i].parent == kNoSpan) (*spans_)[i].parent = self;
+    spans_->push_back(ForkJoinSpan{fork, join, depth, kNoSpan, branch});
     return {fork, join};
   }
 
@@ -156,6 +167,7 @@ class GraphBuilder {
   graph::Dag* dag_ = nullptr;
   std::vector<Node>* nodes_ = nullptr;
   std::vector<ForkJoinSpan>* spans_ = nullptr;
+  std::vector<Span> chains_;  ///< Branch chains of the blocks being built.
 };
 
 void validate_params(const NfjParams& p) {
@@ -183,11 +195,7 @@ GeneratedGraph generate_nfj_graph(const NfjParams& params, util::Rng& rng) {
 }
 
 void apply_blocking_selection(GeneratedGraph& g,
-                              const std::vector<std::size_t>& selection,
-                              const graph::Reachability& reach) {
-  if (reach.size() != g.dag.size())
-    throw std::invalid_argument(
-        "apply_blocking_selection: reachability size mismatch");
+                              const std::vector<std::size_t>& selection) {
   // Reset all types, then mark each selected span and its interior.
   for (model::Node& n : g.nodes) n.type = NodeType::NB;
 
@@ -197,28 +205,33 @@ void apply_blocking_selection(GeneratedGraph& g,
     const ForkJoinSpan& span = g.fork_joins[idx];
     g.nodes[span.fork].type = NodeType::BF;
     g.nodes[span.join].type = NodeType::BJ;
-    // Interior = succ(fork) ∩ pred(join): exactly the region members in a
-    // nested-fork-join structure.
-    util::DynamicBitset interior = reach.descendants(span.fork);
-    interior.and_assign(reach.ancestors(span.join));
-    interior.for_each([&](std::size_t v) { g.nodes[v].type = NodeType::BC; });
+    // Interior = succ(fork) ∩ pred(join) = the ids strictly between them.
+    for (NodeId v = span.fork + 1; v < span.join; ++v) g.nodes[v].type = NodeType::BC;
   }
 }
 
+bool fork_joins_concurrent(const GeneratedGraph& g, std::size_t a,
+                           std::size_t b) {
+  // Lift both spans to the children of their lowest common enclosing span
+  // (a parent sits exactly one level above its child), then compare the
+  // branches those children hang off.
+  const std::vector<ForkJoinSpan>& spans = g.fork_joins;
+  if (a >= spans.size() || b >= spans.size())
+    throw std::invalid_argument("fork_joins_concurrent: span out of range");
+  while (spans[a].depth > spans[b].depth) a = spans[a].parent;
+  while (spans[b].depth > spans[a].depth) b = spans[b].parent;
+  if (a == b) return false;  // the same span, or one contains the other
+  while (spans[a].parent != spans[b].parent) {
+    a = spans[a].parent;
+    b = spans[b].parent;
+  }
+  return spans[a].parent != kNoSpan && spans[a].branch != spans[b].branch;
+}
+
 std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(
-    const GeneratedGraph& g, std::size_t k, util::Rng& rng,
-    const graph::Reachability& reach) {
+    const GeneratedGraph& g, std::size_t k, util::Rng& rng) {
   if (k == 0) return std::vector<std::size_t>{};
   if (g.fork_joins.size() < k) return std::nullopt;
-  if (reach.size() != g.dag.size())
-    throw std::invalid_argument(
-        "pick_concurrent_fork_joins: reachability size mismatch");
-
-  // Two fork-join sub-graphs are concurrent iff their forks are mutually
-  // unordered (containment and sequencing both order the forks).
-  auto concurrent = [&](const ForkJoinSpan& a, const ForkJoinSpan& b) {
-    return reach.concurrent(a.fork, b.fork);
-  };
 
   std::vector<std::size_t> order(g.fork_joins.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -227,7 +240,7 @@ std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(
   std::vector<std::size_t> chosen;
   for (std::size_t idx : order) {
     const bool ok = std::all_of(chosen.begin(), chosen.end(), [&](std::size_t c) {
-      return concurrent(g.fork_joins[idx], g.fork_joins[c]);
+      return fork_joins_concurrent(g, idx, c);
     });
     if (ok) {
       chosen.push_back(idx);

@@ -60,14 +60,34 @@ struct NfjParams {
   int force_outer_branches = 0;
 };
 
-/// One generated fork-join sub-graph (delimiter pair + nesting depth).
+/// `ForkJoinSpan::parent` of the outermost span.
+inline constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
+
+/// One generated fork-join sub-graph: delimiter pair, nesting depth, and
+/// where it sits in the nesting tree.
 struct ForkJoinSpan {
   model::NodeId fork;
   model::NodeId join;
   int depth;  ///< 1 = outermost.
+  /// Index in `GeneratedGraph::fork_joins` of the innermost span enclosing
+  /// this one (kNoSpan for the outermost).
+  std::size_t parent;
+  /// Which of `parent`'s branches (0-based, in construction order) holds
+  /// this span.
+  std::size_t branch;
 };
 
 /// Raw generation result before period assignment: graph + node attributes.
+///
+/// The generator numbers nodes depth-first: a fork-join sub-graph creates
+/// its fork, then its branches, then its join. So every span's interior
+/// (succ(fork) ∩ pred(join)) is exactly the ids strictly between its fork
+/// and its join, and one span contains another iff its id interval does.
+/// Two spans are concurrent (neither fork reaches the other) iff neither
+/// contains the other and they lie in different branches of their lowest
+/// common enclosing span, which the `parent`/`branch` record answers without
+/// a transitive closure. The selection functions below rely on both facts,
+/// so they accept only graphs made by generate_nfj_graph.
 struct GeneratedGraph {
   graph::Dag dag;
   std::vector<model::Node> nodes;
@@ -87,20 +107,22 @@ GeneratedGraph generate_nfj_graph(const NfjParams& params, util::Rng& rng);
 /// become blocking regions (BF/BC.../BJ); all other nodes become NB.
 /// The selected spans must be pairwise precedence-unordered (concurrent) —
 /// then every member of a selected region is affected by exactly
-/// |selection| forks and b̄(τ) = |selection| by construction.
-/// `reach` is the closure of `graph.dag`: retyping never touches the dag,
-/// so one Reachability serves the selection, the typing and the eventual
-/// DagTask construction. Throws std::invalid_argument if a selected span
-/// is out of range or `reach` has the wrong size.
+/// |selection| forks and b̄(τ) = |selection| by construction. Retyping
+/// never touches the dag. Throws std::invalid_argument if a selected span
+/// is out of range.
 void apply_blocking_selection(GeneratedGraph& graph,
-                              const std::vector<std::size_t>& selection,
-                              const graph::Reachability& reach);
+                              const std::vector<std::size_t>& selection);
+
+/// True if fork-join spans `a` and `b` of `graph` (indices into
+/// `graph.fork_joins`) are concurrent: their forks are mutually unordered.
+/// Read off the nesting record in O(depth), without a closure. Throws
+/// std::invalid_argument if an index is out of range.
+bool fork_joins_concurrent(const GeneratedGraph& graph, std::size_t a,
+                           std::size_t b);
 
 /// Greedily pick `k` pairwise-concurrent fork-join spans of `graph`
-/// (shuffled order), against the closure `reach` of `graph.dag`. Returns
-/// nullopt if the greedy pass cannot find k.
+/// (shuffled order). Returns nullopt if the greedy pass cannot find k.
 std::optional<std::vector<std::size_t>> pick_concurrent_fork_joins(
-    const GeneratedGraph& graph, std::size_t k, util::Rng& rng,
-    const graph::Reachability& reach);
+    const GeneratedGraph& graph, std::size_t k, util::Rng& rng);
 
 }  // namespace rtpool::gen

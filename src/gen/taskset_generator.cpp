@@ -1,8 +1,6 @@
 #include "gen/taskset_generator.h"
 
 #include "analysis/concurrency.h"
-#include "graph/algorithms.h"
-#include "graph/reachability.h"
 #include "util/uunifast.h"
 
 namespace rtpool::gen {
@@ -37,24 +35,20 @@ model::DagTask generate_task(const TaskSetParams& params, std::size_t index,
     }
 
     GeneratedGraph g = generate_nfj_graph(nfj, rng);
-    // One Kahn pass and one transitive closure per skeleton: span selection
-    // and blocking typing only retype nodes (the edge set never changes),
-    // so the same order/Reachability pair is threaded through both and then
-    // adopted by the task — previously each step rebuilt identical copies.
-    std::vector<graph::NodeId> topo = graph::topological_order(g.dag);
-    graph::Reachability reach(g.dag, topo);
+    // Selection and typing read the skeleton's nesting record, not a
+    // closure: a skeleton too shallow for target_bf is dropped before the
+    // task (and with it the one Kahn pass and closure) is built.
     if (params.blocking_window.has_value() && target_bf > 0) {
-      const auto selection = pick_concurrent_fork_joins(g, target_bf, rng, reach);
+      const auto selection = pick_concurrent_fork_joins(g, target_bf, rng);
       if (!selection.has_value()) continue;  // skeleton too shallow; resample
-      apply_blocking_selection(g, *selection, reach);
+      apply_blocking_selection(g, *selection);
     }
 
     const util::Time volume = g.volume();
     const util::Time period = volume / utilization;
     model::DagTask task("tau" + std::to_string(index), std::move(g.dag),
                         std::move(g.nodes), period, period,
-                        static_cast<int>(index), std::move(reach),
-                        std::move(topo));
+                        static_cast<int>(index));
 
     if (params.blocking_window.has_value()) {
       const std::size_t b = analysis::max_affecting_forks(task);

@@ -3,9 +3,18 @@
 // Nodes are dense indices 0..size()-1; the task model layer attaches its
 // per-node attributes (WCET, type) in parallel arrays. The class maintains
 // forward and backward adjacency and validates acyclicity on demand.
+//
+// Storage is pooled: every successor and predecessor list lives in one
+// `std::vector<NodeId>`, and a node holds a (begin, size, capacity) slice of
+// it per direction. Appending to a full list grows it in place when it ends
+// the pool and otherwise moves it to the end of the pool with double the
+// capacity (the old slice is left behind as slack). Building, copying or
+// freeing a graph therefore costs two or three allocations, not two per
+// node.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -27,12 +36,17 @@ struct Edge {
 /// rejected at insertion. Acyclicity is *not* enforced per insertion (that
 /// would be O(V+E) each time); algorithms that require a topological order
 /// throw `CycleError` (see `topological_order()` in graph/algorithms.h).
+///
+/// Each node's successors and predecessors keep their insertion order (Kahn
+/// order, the simulator's release order and cycle witnesses depend on it).
+/// A span returned by `successors()` or `predecessors()` is valid only until
+/// the next `add_node` or `add_edge`/`add_edge_unchecked` on that Dag.
 class Dag {
  public:
   Dag() = default;
-  explicit Dag(std::size_t node_count) : succ_(node_count), pred_(node_count) {}
+  explicit Dag(std::size_t node_count) : lists_(node_count) {}
 
-  std::size_t size() const { return succ_.size(); }
+  std::size_t size() const { return lists_.size(); }
   std::size_t edge_count() const { return edge_count_; }
 
   /// Append a new node; returns its id.
@@ -48,15 +62,15 @@ class Dag {
   /// they insert has a freshly created endpoint — and the per-edge
   /// duplicate scan was a measurable share of generation time.
   void add_edge_unchecked(NodeId from, NodeId to) {
-    succ_[from].push_back(to);
-    pred_[to].push_back(from);
+    append(lists_[from].succ, to);
+    append(lists_[to].pred, from);
     ++edge_count_;
   }
 
-  /// Reserve adjacency storage for `node_count` nodes (growth hint only).
+  /// Reserve storage for `node_count` nodes (growth hint only).
   void reserve(std::size_t node_count) {
-    succ_.reserve(node_count);
-    pred_.reserve(node_count);
+    lists_.reserve(node_count);
+    pool_.reserve(3 * node_count);
   }
 
   /// True if the edge exists (O(out-degree of `from`)).
@@ -64,14 +78,14 @@ class Dag {
 
   // Adjacency accessors are inline: analysis inner loops call them per
   // edge visit (millions of times per bench run) and the out-of-line call
-  // cost exceeded the bounds-checked vector index they wrap.
-  const std::vector<NodeId>& successors(NodeId v) const {
+  // cost exceeded the bounds-checked index they wrap.
+  std::span<const NodeId> successors(NodeId v) const {
     check_node(v);
-    return succ_[v];
+    return view(lists_[v].succ);
   }
-  const std::vector<NodeId>& predecessors(NodeId v) const {
+  std::span<const NodeId> predecessors(NodeId v) const {
     check_node(v);
-    return pred_[v];
+    return view(lists_[v].pred);
   }
 
   std::size_t out_degree(NodeId v) const { return successors(v).size(); }
@@ -85,13 +99,33 @@ class Dag {
   std::vector<Edge> edges() const;
 
  private:
+  /// One adjacency list: pool_[begin, begin + size), owning the slice up to
+  /// begin + capacity.
+  struct List {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+  };
+  struct Lists {
+    List succ;
+    List pred;
+  };
+
   void check_node(NodeId v) const {
-    if (v >= succ_.size())
+    if (v >= lists_.size())
       throw std::invalid_argument("Dag: node id out of range");
   }
+  std::span<const NodeId> view(const List& list) const {
+    return {pool_.data() + list.begin, list.size};
+  }
+  void append(List& list, NodeId v) {
+    if (list.size == list.capacity) grow(list);
+    pool_[list.begin + list.size++] = v;
+  }
+  void grow(List& list);
 
-  std::vector<std::vector<NodeId>> succ_;
-  std::vector<std::vector<NodeId>> pred_;
+  std::vector<Lists> lists_;
+  std::vector<NodeId> pool_;
   std::size_t edge_count_ = 0;
 };
 

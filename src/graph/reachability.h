@@ -6,8 +6,9 @@
 // rows), computed in O(|V|·|E|/64) by sweeping a topological order, and
 // answers "may v and w execute concurrently?" (neither reaches the other) in
 // O(|V|/64). Flat storage means construction performs a single allocation
-// instead of 2·|V| per-row bitset allocations — most Reachability objects
-// are built and discarded by the task generator, where that count dominated.
+// instead of 2·|V| per-row bitset allocations. Each DagTask builds one at
+// construction; the task generator selects and types its blocking regions
+// from its own nesting record and builds none for the skeletons it drops.
 #pragma once
 
 #include <cstdint>

@@ -33,7 +33,7 @@ std::vector<std::size_t> find_cycle(const graph::Dag& dag) {
     color[root] = kGray;
     while (!stack.empty()) {
       const auto v = static_cast<NodeId>(stack.back());
-      const std::vector<NodeId>& children = dag.successors(v);
+      const std::span<const NodeId> children = dag.successors(v);
       if (next_child[v] < children.size()) {
         const std::size_t w = children[next_child[v]++];
         if (color[w] == kGray) {
@@ -66,8 +66,7 @@ std::vector<std::size_t> nodes_where(std::size_t n, Pred pred) {
 
 }  // namespace
 
-TaskStructure check_task(const TaskDraft& task, const DefectSink& report,
-                         std::vector<NodeId> topo) {
+TaskStructure check_task(const TaskDraft& task, const DefectSink& report) {
   const graph::Dag& dag = task.dag;
   const std::vector<Node>& nodes = task.nodes;
   const std::size_t n = nodes.size();
@@ -114,29 +113,22 @@ TaskStructure check_task(const TaskDraft& task, const DefectSink& report,
   for (const graph::Edge& e : task.duplicates)
     defect(DefectKind::kDuplicateEdge, e.from,
            "duplicate edge " + id(e.from) + " -> " + id(e.to));
-  if (topo.empty()) {
-    try {
-      topo = graph::topological_order(dag);
-    } catch (const graph::CycleError&) {
-      const std::vector<std::size_t> cycle = find_cycle(dag);
-      defect(DefectKind::kCycle, cycle.front(),
-             "precedence graph has a cycle: " + join_ids(cycle, " -> "));
-      return out;  // sources, sinks and regions mean nothing on a cycle
-    }
+  std::vector<NodeId> topo;
+  try {
+    topo = graph::topological_order(dag);
+  } catch (const graph::CycleError&) {
+    const std::vector<std::size_t> cycle = find_cycle(dag);
+    defect(DefectKind::kCycle, cycle.front(),
+           "precedence graph has a cycle: " + join_ids(cycle, " -> "));
+    return out;  // sources, sinks and regions mean nothing on a cycle
   }
   if (!task.self_loops.empty()) return out;
   out.topo = std::move(topo);
 
-  // Weak connectivity, from node 0.
-  const std::vector<bool> joined = graph::weak_component(dag, 0);
-  if (std::find(joined.begin(), joined.end(), false) != joined.end()) {
-    const auto apart = nodes_where(n, [&](std::size_t v) { return !joined[v]; });
-    defect(DefectKind::kNotConnected, apart.front(),
-           "graph is not weakly connected; nodes {" + join_ids(apart, ", ") +
-               "} are disconnected from node 0");
-  }
-
-  // Exactly one source and one sink.
+  // Weak connectivity from node 0, then exactly one source and one sink.
+  // The ends are counted first: an acyclic graph with one source is weakly
+  // connected (every node reaches back to that source), so the flood runs
+  // only when the source count is not 1.
   const auto is_source = [&](std::size_t v) {
     return dag.in_degree(static_cast<NodeId>(v)) == 0;
   };
@@ -148,6 +140,15 @@ TaskStructure check_task(const TaskDraft& task, const DefectSink& report,
   for (NodeId v = 0; v < n; ++v) {
     if (is_source(v) && sources++ == 0) out.source = v;
     if (is_sink(v) && sinks++ == 0) out.sink = v;
+  }
+  if (sources != 1) {
+    const std::vector<bool> joined = graph::weak_component(dag, 0);
+    if (std::find(joined.begin(), joined.end(), false) != joined.end()) {
+      const auto apart = nodes_where(n, [&](std::size_t v) { return !joined[v]; });
+      defect(DefectKind::kNotConnected, apart.front(),
+             "graph is not weakly connected; nodes {" + join_ids(apart, ", ") +
+                 "} are disconnected from node 0");
+    }
   }
   const auto wrong_count = [&](DefectKind kind, const char* what,
                                const std::vector<std::size_t>& ends) {
@@ -181,7 +182,7 @@ TaskStructure check_task(const TaskDraft& task, const DefectSink& report,
     out.regions.push_back(BlockingRegion{f, f, util::DynamicBitset(n)});
     util::DynamicBitset& inside = out.regions.back().members;
 
-    const std::vector<NodeId>& children = dag.successors(f);
+    const std::span<const NodeId> children = dag.successors(f);
     if (children.empty()) {
       defect(DefectKind::kForkWithoutChildren, f,
              "BF node " + id(f) + " spawns no children");

@@ -9,7 +9,9 @@
 //   3. self-loops, then duplicate edges (only a reader meets these: a
 //      graph::Dag cannot hold them);
 //   4. a directed cycle (printed); stop here on a cycle or a self-loop;
-//   5. weak connectivity, one source, one sink;
+//   5. weak connectivity (flooded only when the source count is not 1:
+//      an acyclic graph with one source is weakly connected), one source,
+//      one sink;
 //   6. per BF node in id order: its blocking region (children, nesting,
 //      NB members, exactly one BJ, disjointness) and restrictions
 //      (ii), (iii) and (i) on the region's edges;
@@ -104,10 +106,7 @@ struct TaskStructure {
 };
 
 /// Report every defect of `task` to `report`, in the order listed at the
-/// top of this file. `topo` is a topological order of `task.dag` to adopt
-/// (its existence proves acyclicity), or empty to compute one. Throws only
-/// what `report` throws.
-TaskStructure check_task(const TaskDraft& task, const DefectSink& report,
-                         std::vector<NodeId> topo = {});
+/// top of this file. Throws only what `report` throws.
+TaskStructure check_task(const TaskDraft& task, const DefectSink& report);
 
 }  // namespace rtpool::model

@@ -15,32 +15,15 @@ std::vector<util::Time> extract_wcets(const std::vector<Node>& nodes) {
   return w;
 }
 
-/// Adopt a caller-supplied closure (size-checked) or build one from `dag`,
-/// sweeping the already-computed topological order.
-graph::Reachability take_reach(std::optional<graph::Reachability> reach,
-                               const graph::Dag& dag,
-                               const std::vector<graph::NodeId>& order,
-                               const std::string& name) {
-  if (!reach.has_value()) return graph::Reachability(dag, order);
-  if (reach->size() != dag.size())
-    throw ModelError(name + ": precomputed reachability size mismatch");
-  return std::move(*reach);
-}
-
 /// Run the Section 2 checker, throwing on the first defect, and keep what it
-/// derived. A caller-supplied topological order is adopted after a size
-/// check: its existence already proves acyclicity (the generator's single
-/// Kahn pass serves the check, the closure sweep and the critical path).
+/// derived (the topological order serves the closure sweep and the critical
+/// path).
 TaskStructure checked_structure(const std::string& name, const graph::Dag& dag,
                                 const std::vector<Node>& nodes, util::Time period,
-                                util::Time deadline,
-                                std::optional<std::vector<graph::NodeId>> topo) {
+                                util::Time deadline) {
   if (!nodes.empty() && nodes.size() != dag.size())
     throw ModelError(name + ": node attribute count does not match graph size");
-  if (topo.has_value() && topo->size() != dag.size())
-    throw ModelError(name + ": precomputed topological order size mismatch");
-  return check_task(TaskDraft{dag, nodes, period, deadline}, model_error_sink(name),
-                    std::move(topo).value_or(std::vector<graph::NodeId>{}));
+  return check_task(TaskDraft{dag, nodes, period, deadline}, model_error_sink(name));
 }
 
 }  // namespace
@@ -51,26 +34,6 @@ DefectSink model_error_sink(const std::string& task) {
 
 DagTask::DagTask(std::string name, graph::Dag dag, std::vector<Node> nodes,
                  util::Time period, util::Time deadline, int priority)
-    : DagTask(AdoptReach{}, std::move(name), std::move(dag), std::move(nodes),
-              period, deadline, priority, std::nullopt, std::nullopt) {}
-
-DagTask::DagTask(std::string name, graph::Dag dag, std::vector<Node> nodes,
-                 util::Time period, util::Time deadline, int priority,
-                 graph::Reachability reach)
-    : DagTask(AdoptReach{}, std::move(name), std::move(dag), std::move(nodes),
-              period, deadline, priority, std::move(reach), std::nullopt) {}
-
-DagTask::DagTask(std::string name, graph::Dag dag, std::vector<Node> nodes,
-                 util::Time period, util::Time deadline, int priority,
-                 graph::Reachability reach, std::vector<NodeId> topo)
-    : DagTask(AdoptReach{}, std::move(name), std::move(dag), std::move(nodes),
-              period, deadline, priority, std::move(reach), std::move(topo)) {}
-
-DagTask::DagTask(AdoptReach, std::string name, graph::Dag dag,
-                 std::vector<Node> nodes, util::Time period,
-                 util::Time deadline, int priority,
-                 std::optional<graph::Reachability> reach,
-                 std::optional<std::vector<NodeId>> topo)
     : name_(std::move(name)),
       dag_(std::move(dag)),
       nodes_(std::move(nodes)),
@@ -79,9 +42,8 @@ DagTask::DagTask(AdoptReach, std::string name, graph::Dag dag,
       priority_(priority),
       wcets_(extract_wcets(nodes_)),
       // The check comes first: no closure is built for an invalid task.
-      structure_(checked_structure(name_, dag_, nodes_, period_, deadline_,
-                                   std::move(topo))),
-      reach_(take_reach(std::move(reach), dag_, structure_.topo, name_)),
+      structure_(checked_structure(name_, dag_, nodes_, period_, deadline_)),
+      reach_(dag_, structure_.topo),
       critical_path_(graph::longest_path(dag_, structure_.topo, wcets_)),
       volume_(graph::total_weight(wcets_)) {
   compute_concurrency_caches();

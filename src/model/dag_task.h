@@ -50,23 +50,6 @@ class DagTask {
   DagTask(std::string name, graph::Dag dag, std::vector<Node> nodes,
           util::Time period, util::Time deadline, int priority = 0);
 
-  /// Same, adopting a precomputed transitive closure of `dag` instead of
-  /// rebuilding it. The generator threads one Reachability through span
-  /// selection, blocking typing, and construction (the closure depends only
-  /// on the edge set, which none of those steps mutate). Throws ModelError
-  /// when `reach` was built for a graph of a different size.
-  DagTask(std::string name, graph::Dag dag, std::vector<Node> nodes,
-          util::Time period, util::Time deadline, int priority,
-          graph::Reachability reach);
-
-  /// Same, additionally adopting a precomputed topological order of `dag`
-  /// (its existence is the acyclicity proof; the generator's single Kahn
-  /// pass serves the closure, the validation, and the critical path).
-  /// Throws ModelError when `topo` was built for a different graph size.
-  DagTask(std::string name, graph::Dag dag, std::vector<Node> nodes,
-          util::Time period, util::Time deadline, int priority,
-          graph::Reachability reach, std::vector<NodeId> topo);
-
   const std::string& name() const { return name_; }
   const graph::Dag& dag() const { return dag_; }
   std::size_t node_count() const { return nodes_.size(); }
@@ -152,12 +135,6 @@ class DagTask {
   DagTask with_priority(int priority) &&;
 
  private:
-  struct AdoptReach {};  ///< Delegation tag for the shared ctor body.
-  DagTask(AdoptReach, std::string name, graph::Dag dag, std::vector<Node> nodes,
-          util::Time period, util::Time deadline, int priority,
-          std::optional<graph::Reachability> reach,
-          std::optional<std::vector<NodeId>> topo);
-
   void compute_concurrency_caches();
 
   std::string name_;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -92,8 +93,15 @@ void tokenize(std::istream& is, OnHeader&& on_header, OnTask&& on_task) {
       current.name = require(kv, "name", lineno);
       current.period = to_double(require(kv, "period", lineno), lineno);
       current.deadline = to_double(require(kv, "deadline", lineno), lineno);
-      current.priority = static_cast<int>(to_long(require(kv, "priority", lineno), lineno));
-      declared_nodes = static_cast<std::size_t>(to_long(require(kv, "nodes", lineno), lineno));
+      const long priority = to_long(require(kv, "priority", lineno), lineno);
+      const long nodes = to_long(require(kv, "nodes", lineno), lineno);
+      if (priority < std::numeric_limits<int>::min() ||
+          priority > std::numeric_limits<int>::max())
+        throw ParseError("line " + std::to_string(lineno) + ": priority out of range");
+      if (nodes < 0)
+        throw ParseError("line " + std::to_string(lineno) + ": nodes must be >= 0");
+      current.priority = static_cast<int>(priority);
+      declared_nodes = static_cast<std::size_t>(nodes);
       in_task = true;
     } else if (keyword == "node") {
       if (!in_task)

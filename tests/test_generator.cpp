@@ -1,12 +1,16 @@
 // Unit tests for the NFJ graph / task-set generator of Section 5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <ostream>
 #include <set>
 
 #include "analysis/concurrency.h"
 #include "gen/nfj_generator.h"
 #include "gen/taskset_generator.h"
+#include "graph/reachability.h"
 
 namespace rtpool::gen {
 namespace {
@@ -189,6 +193,140 @@ TEST(TaskSetGeneratorTest, ZeroTasksThrows) {
   TaskSetParams params;
   params.task_count = 0;
   EXPECT_THROW(generate_task_set(params, rng), std::invalid_argument);
+}
+
+// ---------- closure-free selection vs the transitive closure ----------
+
+/// The closure-based predicates the nesting record replaced: two spans are
+/// concurrent iff their forks are mutually unordered, and a span's interior
+/// is succ(fork) ∩ pred(join).
+bool closure_concurrent(const graph::Reachability& reach, const ForkJoinSpan& a,
+                        const ForkJoinSpan& b) {
+  return reach.concurrent(a.fork, b.fork);
+}
+
+util::DynamicBitset closure_interior(const graph::Reachability& reach,
+                                     const ForkJoinSpan& span) {
+  util::DynamicBitset interior = reach.descendants(span.fork);
+  interior.and_assign(reach.ancestors(span.join));
+  return interior;
+}
+
+/// The greedy pick as it ran against the closure: size test, shuffle, then
+/// accept in shuffled order.
+std::optional<std::vector<std::size_t>> closure_pick(const GeneratedGraph& g,
+                                                     std::size_t k, util::Rng& rng,
+                                                     const graph::Reachability& reach) {
+  if (k == 0) return std::vector<std::size_t>{};
+  if (g.fork_joins.size() < k) return std::nullopt;
+  std::vector<std::size_t> order(g.fork_joins.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.shuffle(order);
+  std::vector<std::size_t> chosen;
+  for (std::size_t idx : order) {
+    const bool ok = std::all_of(chosen.begin(), chosen.end(), [&](std::size_t c) {
+      return closure_concurrent(reach, g.fork_joins[idx], g.fork_joins[c]);
+    });
+    if (ok) {
+      chosen.push_back(idx);
+      if (chosen.size() == k) return chosen;
+    }
+  }
+  return std::nullopt;
+}
+
+struct SkeletonShape {
+  const char* label;
+  int max_depth;
+  int min_branches;
+  int max_branches;
+  int max_series;
+  int force_outer_branches;
+};
+
+void PrintTo(const SkeletonShape& shape, std::ostream* os) { *os << shape.label; }
+
+class SelectionPropertyTest : public ::testing::TestWithParam<SkeletonShape> {};
+
+TEST_P(SelectionPropertyTest, NestingRecordAgreesWithTheClosure) {
+  const SkeletonShape& shape = GetParam();
+  NfjParams params;
+  params.max_depth = shape.max_depth;
+  params.min_branches = shape.min_branches;
+  params.max_branches = shape.max_branches;
+  params.max_series = shape.max_series;
+  params.force_outer_branches = shape.force_outer_branches;
+  params.allow_blocking = false;  // the skeletons targeted typing retypes
+  util::Rng rng(static_cast<std::uint64_t>(shape.max_depth * 1000 +
+                                           shape.max_branches * 100 +
+                                           shape.max_series * 10 +
+                                           shape.force_outer_branches));
+  for (int trial = 0; trial < 2000; ++trial) {
+    GeneratedGraph g = generate_nfj_graph(params, rng);
+    const graph::Reachability reach(g.dag);
+    const std::vector<ForkJoinSpan>& spans = g.fork_joins;
+
+    for (std::size_t a = 0; a < spans.size(); ++a)
+      for (std::size_t b = 0; b < spans.size(); ++b)
+        ASSERT_EQ(fork_joins_concurrent(g, a, b),
+                  closure_concurrent(reach, spans[a], spans[b]))
+            << "trial " << trial << ", spans " << a << " and " << b;
+
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      apply_blocking_selection(g, {i});
+      const util::DynamicBitset interior = closure_interior(reach, spans[i]);
+      for (model::NodeId v = 0; v < g.nodes.size(); ++v) {
+        const NodeType want = v == spans[i].fork   ? NodeType::BF
+                              : v == spans[i].join ? NodeType::BJ
+                              : interior.test(v)   ? NodeType::BC
+                                                   : NodeType::NB;
+        ASSERT_EQ(g.nodes[v].type, want) << "trial " << trial << ", span " << i
+                                         << ", node " << v;
+      }
+    }
+
+    // The greedy: the same selection from the same draws, up to the
+    // figure-2 windows' largest k and one past the span count.
+    const std::size_t max_k = std::min<std::size_t>(spans.size() + 1, 8);
+    for (std::size_t k = 0; k <= max_k; ++k) {
+      const auto seed = static_cast<std::uint64_t>(trial) * 16 + k;
+      util::Rng nested(seed);
+      util::Rng closure(seed);
+      ASSERT_EQ(pick_concurrent_fork_joins(g, k, nested),
+                closure_pick(g, k, closure, reach))
+          << "trial " << trial << ", k " << k;
+      ASSERT_TRUE(nested.engine() == closure.engine())
+          << "trial " << trial << ", k " << k;
+    }
+  }
+}
+
+// Every max_depth in 1-4, branch count in 2-5 and max_series in 1-3 occurs,
+// with and without a forced outermost width (the window generator forces
+// 4-6 outer branches for the figure-2 sweeps).
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SelectionPropertyTest,
+    ::testing::Values(SkeletonShape{"d1_b2to5_s3", 1, 2, 5, 3, 0},
+                      SkeletonShape{"d2_b2to5_s3", 2, 2, 5, 3, 0},
+                      SkeletonShape{"d2_b3to5_s2_outer4", 2, 3, 5, 2, 4},
+                      SkeletonShape{"d3_b2to4_s3_outer5", 3, 2, 4, 3, 5},
+                      SkeletonShape{"d3_b2to5_s2_outer6", 3, 2, 5, 2, 6},
+                      SkeletonShape{"d4_b2to3_s2", 4, 2, 3, 2, 0},
+                      SkeletonShape{"d4_b2_s2_outer5", 4, 2, 2, 2, 5},
+                      SkeletonShape{"d4_b2to5_s1_outer4", 4, 2, 5, 1, 4}),
+    [](const ::testing::TestParamInfo<SkeletonShape>& param_info) {
+      return param_info.param.label;
+    });
+
+TEST(SelectionTest, RejectsSpanIndicesOutOfRange) {
+  util::Rng rng(12);
+  NfjParams params;
+  params.allow_blocking = false;
+  GeneratedGraph g = generate_nfj_graph(params, rng);
+  const std::size_t n = g.fork_joins.size();
+  EXPECT_THROW(fork_joins_concurrent(g, 0, n), std::invalid_argument);
+  EXPECT_THROW(fork_joins_concurrent(g, n, 0), std::invalid_argument);
+  EXPECT_THROW(apply_blocking_selection(g, {n}), std::invalid_argument);
 }
 
 /// Property sweep over seeds: generated task sets always satisfy the model

@@ -1,6 +1,7 @@
 // Unit tests for src/graph: Dag, algorithms, reachability, dot export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "graph/algorithms.h"
@@ -57,6 +58,103 @@ TEST(DagTest, EdgesSorted) {
   ASSERT_EQ(edges.size(), 4u);
   EXPECT_EQ(edges[0], (Edge{0, 1}));
   EXPECT_EQ(edges[3], (Edge{2, 3}));
+}
+
+TEST(DagTest, AdjacencyMatchesPerNodeListsUnderInterleavedInserts) {
+  // A reference of one vector per node and direction, fed the same random
+  // edges. Inserts interleave across nodes, so lists keep outgrowing their
+  // pool slices and moving.
+  util::Rng rng(31);
+  Dag d;
+  std::vector<std::vector<NodeId>> succ;
+  std::vector<std::vector<NodeId>> pred;
+  std::vector<Edge> all;
+  for (int step = 0; step < 3000; ++step) {
+    if (d.size() < 2 || rng.bernoulli(0.1)) {
+      EXPECT_EQ(d.add_node(), succ.size());
+      succ.emplace_back();
+      pred.emplace_back();
+      continue;
+    }
+    const auto from = static_cast<NodeId>(rng.index(d.size()));
+    const auto to = static_cast<NodeId>(rng.index(d.size()));
+    if (from == to || std::find(succ[from].begin(), succ[from].end(), to) !=
+                          succ[from].end()) {
+      EXPECT_THROW(d.add_edge(from, to), std::invalid_argument);
+      continue;
+    }
+    if (rng.bernoulli(0.5))
+      d.add_edge(from, to);
+    else
+      d.add_edge_unchecked(from, to);
+    succ[from].push_back(to);
+    pred[to].push_back(from);
+    all.push_back({from, to});
+  }
+
+  ASSERT_EQ(d.size(), succ.size());
+  EXPECT_EQ(d.edge_count(), all.size());
+  std::vector<NodeId> sources;
+  std::vector<NodeId> sinks;
+  for (NodeId v = 0; v < d.size(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(d.successors(v), succ[v])) << v;
+    EXPECT_TRUE(std::ranges::equal(d.predecessors(v), pred[v])) << v;
+    EXPECT_EQ(d.out_degree(v), succ[v].size());
+    EXPECT_EQ(d.in_degree(v), pred[v].size());
+    if (pred[v].empty()) sources.push_back(v);
+    if (succ[v].empty()) sinks.push_back(v);
+    for (NodeId w = 0; w < d.size(); ++w)
+      EXPECT_EQ(d.has_edge(v, w),
+                std::find(succ[v].begin(), succ[v].end(), w) != succ[v].end());
+  }
+  EXPECT_EQ(d.sources(), sources);
+  EXPECT_EQ(d.sinks(), sinks);
+  std::sort(all.begin(), all.end(), [](const Edge& a, const Edge& b) {
+    return a.from != b.from ? a.from < b.from : a.to < b.to;
+  });
+  EXPECT_EQ(d.edges(), all);
+}
+
+TEST(DagTest, ThousandWideFanOutAndFanIn) {
+  // 0 -> w -> 1001 for w = 1..1000, the two wide lists growing in turn.
+  Dag d(1002);
+  for (NodeId w = 1; w <= 1000; ++w) {
+    d.add_edge(0, w);
+    d.add_edge(w, 1001);
+  }
+  ASSERT_EQ(d.out_degree(0), 1000u);
+  ASSERT_EQ(d.in_degree(1001), 1000u);
+  for (NodeId w = 1; w <= 1000; ++w) {
+    EXPECT_EQ(d.successors(0)[w - 1], w);
+    EXPECT_EQ(d.predecessors(1001)[w - 1], w);
+    EXPECT_TRUE(std::ranges::equal(d.predecessors(w), std::vector<NodeId>{0}));
+    EXPECT_TRUE(std::ranges::equal(d.successors(w), std::vector<NodeId>{1001}));
+  }
+  EXPECT_TRUE(d.has_edge(0, 1000));
+  EXPECT_THROW(d.add_edge(0, 1000), std::invalid_argument);
+  EXPECT_EQ(d.sources(), (std::vector<NodeId>{0}));
+  EXPECT_EQ(d.sinks(), (std::vector<NodeId>{1001}));
+  EXPECT_EQ(topological_order(d).size(), 1002u);
+}
+
+TEST(DagTest, MutatingACopyLeavesTheOriginal) {
+  const Dag original = diamond();
+  Dag copy = original;
+  copy.add_edge(0, 3);
+  for (int i = 0; i < 10; ++i) {
+    const auto last = static_cast<NodeId>(copy.size() - 1);
+    copy.add_edge(last, copy.add_node());
+  }
+  EXPECT_EQ(copy.size(), 14u);
+  EXPECT_TRUE(std::ranges::equal(copy.successors(0), std::vector<NodeId>{1, 2, 3}));
+
+  EXPECT_EQ(original.size(), 4u);
+  EXPECT_EQ(original.edge_count(), 4u);
+  EXPECT_EQ(original.edges(), diamond().edges());
+  EXPECT_TRUE(std::ranges::equal(original.successors(0), std::vector<NodeId>{1, 2}));
+  EXPECT_TRUE(std::ranges::equal(original.predecessors(3), std::vector<NodeId>{1, 2}));
+  EXPECT_FALSE(original.has_edge(0, 3));
+  EXPECT_EQ(original.sinks(), (std::vector<NodeId>{3}));
 }
 
 TEST(DagTest, AcyclicDetection) {

@@ -92,6 +92,34 @@ TEST(DagTaskTest, RejectsDisconnected) {
   EXPECT_THROW(DagTask("bad", std::move(d), std::move(nodes), 10, 10), ModelError);
 }
 
+/// The ModelError text constructing task "bad" from `d` (all nodes NB)
+/// raises: the checker's first defect.
+std::string first_defect(const graph::Dag& d) {
+  try {
+    DagTask("bad", d, std::vector<Node>(d.size(), Node{1.0, NodeType::NB}), 10, 10);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DagTaskTest, DisconnectionIsReportedBeforeTheEndCounts) {
+  // A 4-node chain without its last edge: nodes 0 and 3 are sources and
+  // sinks alike, so the connectivity flood runs and its defect comes first.
+  graph::Dag d(4);
+  d.add_edge(0, 1);
+  d.add_edge(1, 2);
+  EXPECT_EQ(first_defect(d),
+            "bad: graph is not weakly connected; nodes {3} are disconnected from node 0");
+}
+
+TEST(DagTaskTest, ConnectedGraphWithTwoSourcesReportsTheSourceCount) {
+  graph::Dag d(3);
+  d.add_edge(0, 2);
+  d.add_edge(1, 2);
+  EXPECT_EQ(first_defect(d), "bad: expected exactly one source node, found 2 {0, 1}");
+}
+
 TEST(DagTaskTest, RejectsBadTiming) {
   graph::Dag d(1);
   std::vector<Node> nodes{{1.0, NodeType::NB}};

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "model/builder.h"
 #include "model/io.h"
@@ -121,10 +123,54 @@ INSTANTIATE_TEST_SUITE_P(
                  "taskset cores=1\ntask name=a period=1 priority=0 nodes=1\n"},
         BadInput{"unterminated_task",
                  "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 "
-                 "nodes=1\nnode 0 wcet=1 type=NB\n"}),
+                 "nodes=1\nnode 0 wcet=1 type=NB\n"},
+        BadInput{"priority_overflow",
+                 "taskset cores=1\ntask name=a period=1 deadline=1 "
+                 "priority=4294967297 nodes=1\nnode 0 wcet=1 type=NB\nendtask\n"},
+        BadInput{"negative_nodes",
+                 "taskset cores=1\ntask name=a period=1 deadline=1 priority=0 "
+                 "nodes=-1\nnode 0 wcet=1 type=NB\nendtask\n"}),
     [](const ::testing::TestParamInfo<BadInput>& param_info) {
       return param_info.param.label;
     });
+
+/// The ParseError text `text` raises (empty if it parses).
+std::string parse_error_of(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read_task_set(ss);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string one_task_with(const std::string& priority, const std::string& nodes) {
+  return "taskset cores=1\ntask name=a period=1 deadline=1 priority=" + priority +
+         " nodes=" + nodes + "\nnode 0 wcet=1 type=NB\nendtask\n";
+}
+
+TEST(IoTest, RejectsPrioritiesOutsideIntOnTheTaskLine) {
+  // A narrowing cast would turn 2^32 into priority 0 and 2^32 + 1 into 1.
+  for (const char* priority : {"4294967296", "4294967297", "2147483648", "-2147483649"})
+    EXPECT_EQ(parse_error_of(one_task_with(priority, "1")),
+              "line 2: priority out of range")
+        << priority;
+}
+
+TEST(IoTest, RejectsNegativeNodeCountOnTheTaskLine) {
+  EXPECT_EQ(parse_error_of(one_task_with("0", "-1")), "line 2: nodes must be >= 0");
+}
+
+TEST(IoTest, PrioritiesAtTheIntLimitsParse) {
+  for (const int priority :
+       {std::numeric_limits<int>::max(), std::numeric_limits<int>::min()}) {
+    std::stringstream ss(one_task_with(std::to_string(priority), "1"));
+    const TaskSet ts = read_task_set(ss);
+    ASSERT_EQ(ts.size(), 1u);
+    EXPECT_EQ(ts.task(0).priority(), priority);
+  }
+}
 
 // ---------- shipped sample files ----------
 
