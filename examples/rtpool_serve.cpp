@@ -2,15 +2,16 @@
 //
 // Server (TCP):
 //   rtpool_serve --port 7411 [--host 127.0.0.1] [--analyzer NAME]
-//                [--workers N] [--shards N] [--batch N] [--cache N]
-//                [--config serve.json] [--print-port]
+//                [--workers N] [--cache N] [--config serve.json]
+//                [--print-port]
 //
 //   Speaks length-prefixed frames (4-byte big-endian length + one JSON
 //   request document per frame; see src/serve/protocol.h). Responses are
 //   framed the same way and may arrive OUT OF ORDER relative to pipelined
 //   submissions — match them by "id". `--print-port` prints the bound port
 //   (resolving --port 0) on the first stdout line, for scripts and tests.
-//   SIGHUP re-reads --config (same JSON shape as the "reload" command) and
+//   SIGHUP re-reads --config (the "reload" command's JSON, "cmd" optional:
+//   {"workers": 2, "analyzer": "global-baseline"} is a complete file) and
 //   applies it as a hot reload; in-flight requests are never dropped.
 //
 // Server (stdin stream):
@@ -25,8 +26,8 @@
 //   rtpool_serve --connect HOST:PORT --file x.taskset [--analyzer NAME]
 //                [--certify] [--id ID] [--extract-report]
 //   rtpool_serve --connect HOST:PORT --cmd stats|shutdown
-//   rtpool_serve --connect HOST:PORT --cmd reload [--workers N] [--batch N]
-//                [--shards N] [--cache N] [--analyzer NAME]
+//   rtpool_serve --connect HOST:PORT --cmd reload [--workers N] [--cache N]
+//                [--analyzer NAME]
 //
 //   Sends one request and prints the response. With --extract-report only
 //   the raw "report" member is printed — byte-identical to
@@ -63,8 +64,6 @@ serve::ServiceConfig config_from_args(const util::Args& args) {
   serve::ServiceConfig config;
   config.analyzer = args.get_string("analyzer", config.analyzer);
   config.workers = args.get_uint64("workers", config.workers);
-  config.shards = args.get_uint64("shards", config.shards);
-  config.batch = args.get_uint64("batch", config.batch);
   config.cache = args.get_uint64("cache", config.cache);
   return config;
 }
@@ -79,32 +78,21 @@ void reload_from_file(serve::AdmissionService& service, const std::string& path)
   std::stringstream buffer;
   buffer << in.rdbuf();
   try {
-    util::JsonValue doc = util::parse_json(buffer.str());
-    serve::Request req = serve::decode_request(doc);
-    if (req.kind != serve::Request::Kind::kReload) {
-      // A bare {"analyzer": ..., "workers": ...} object (no "cmd") is the
-      // natural config-file shape; re-decode it as a reload.
-      std::ostringstream with_cmd;
-      util::JsonWriter w(with_cmd);
-      w.begin_object();
-      w.kv("cmd", "reload");
-      for (const char* key : {"analyzer"})
-        if (doc.is_object() && doc.contains(key))
-          w.key(key).raw_value("\"" + doc.at(key).as_string() + "\"");
-      for (const char* key : {"workers", "shards", "batch", "cache"})
-        if (doc.is_object() && doc.contains(key))
-          w.kv(key, doc.at(key).as_number());
-      w.end_object();
-      req = serve::decode_request(util::parse_json(with_cmd.str()));
-    }
-    const serve::ServiceConfig committed =
-        service.reload(req.reload_analyzer, req.reload_workers,
-                       req.reload_shards, req.reload_batch, req.reload_cache);
+    // A bare {"analyzer": ..., "workers": ...} object (no "cmd") is the
+    // natural config-file shape: it is a reload.
+    util::JsonValue::Object members =
+        util::parse_json(buffer.str()).as_object();
+    members.emplace("cmd", util::JsonValue(std::string("reload")));
+    const serve::Request req =
+        serve::decode_request(util::JsonValue(std::move(members)));
+    if (req.kind != serve::Request::Kind::kReload)
+      throw std::invalid_argument("config 'cmd' must be \"reload\"");
+    const serve::ServiceConfig committed = service.reload(
+        req.reload_analyzer, req.reload_workers, req.reload_cache);
     std::fprintf(stderr,
-                 "rtpool_serve: reloaded (analyzer=%s workers=%zu shards=%zu "
-                 "batch=%zu cache=%zu, version %llu)\n",
-                 committed.analyzer.c_str(), committed.workers,
-                 committed.shards, committed.batch, committed.cache,
+                 "rtpool_serve: reloaded (analyzer=%s workers=%zu cache=%zu, "
+                 "version %llu)\n",
+                 committed.analyzer.c_str(), committed.workers, committed.cache,
                  static_cast<unsigned long long>(service.config_version()));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rtpool_serve: reload failed: %s\n", e.what());
@@ -219,7 +207,7 @@ int run_client(const util::Args& args) {
       // Forward the override flags the server flavor of these keys uses.
       const std::string analyzer = args.get_string("analyzer", "");
       if (!analyzer.empty()) w.kv("analyzer", analyzer);
-      for (const char* key : {"workers", "shards", "batch", "cache"})
+      for (const char* key : {"workers", "cache"})
         if (args.has(key)) w.kv(key, args.get_uint64(key, 0));
     }
   } else {
@@ -270,9 +258,9 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(
         argc, argv,
-        {"port", "host", "stdin", "analyzer", "workers", "shards", "batch",
-         "cache", "config", "print-port", "connect", "file", "cmd", "id",
-         "certify", "wcet-scale", "extract-report"});
+        {"port", "host", "stdin", "analyzer", "workers", "cache", "config",
+         "print-port", "connect", "file", "cmd", "id", "certify", "wcet-scale",
+         "extract-report"});
     if (!args.get_string("connect", "").empty()) return run_client(args);
     if (args.get_bool("stdin", false)) return run_server_stdin(args);
     return run_server_tcp(args);

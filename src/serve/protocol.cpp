@@ -101,6 +101,13 @@ Request decode_request(const util::JsonValue& doc) {
       req.kind = Request::Kind::kShutdown;
     } else if (name == "reload") {
       req.kind = Request::Kind::kReload;
+      // A member the service has no setting for fails loudly: a silently
+      // ignored one would commit a reload that changes nothing.
+      for (const auto& member : doc.as_object())
+        if (member.first != "cmd" && member.first != "id" &&
+            member.first != "analyzer" && member.first != "workers" &&
+            member.first != "cache")
+          throw ProtocolError("reload has no field '" + member.first + "'");
       if (doc.contains("analyzer")) {
         const util::JsonValue& a = doc.at("analyzer");
         if (!a.is_string())
@@ -109,16 +116,10 @@ Request decode_request(const util::JsonValue& doc) {
       }
       if (doc.contains("workers"))
         req.reload_workers = require_count(doc.at("workers"), "workers");
-      if (doc.contains("shards"))
-        req.reload_shards = require_count(doc.at("shards"), "shards");
-      if (doc.contains("batch"))
-        req.reload_batch = require_count(doc.at("batch"), "batch");
       if (doc.contains("cache"))
         req.reload_cache = require_count(doc.at("cache"), "cache");
       if (req.reload_workers && *req.reload_workers == 0)
         throw ProtocolError("'workers' must be >= 1");
-      if (req.reload_batch && *req.reload_batch == 0)
-        throw ProtocolError("'batch' must be >= 1");
     } else {
       throw ProtocolError("unknown cmd '" + name + "'");
     }

@@ -17,8 +17,8 @@
 //
 //   {"cmd": "stats"}
 //   {"cmd": "shutdown"}
-//   {"cmd": "reload", "analyzer"?: ..., "workers"?: N, "shards"?: N,
-//                     "batch"?: N, "cache"?: N}
+//   {"cmd": "reload", "analyzer"?: ..., "workers"?: N, "cache"?: N}
+//                                  // any other member is a ProtocolError
 //
 // Verdict response (the "report" member is byte-identical to
 // `rtpool_cli --format=json --analyzer=<a>` on the same .taskset — the
@@ -70,14 +70,12 @@ struct Request {
   // kReload overrides (absent member = keep the current value):
   std::optional<std::string> reload_analyzer;
   std::optional<std::size_t> reload_workers;
-  std::optional<std::size_t> reload_shards;
-  std::optional<std::size_t> reload_batch;
   std::optional<std::size_t> reload_cache;
 };
 
 /// Decode a parsed JSON document into a Request. Throws ProtocolError on a
-/// non-object root, an unknown "cmd", missing "taskset", or out-of-domain
-/// field values.
+/// non-object root, an unknown "cmd", missing "taskset", a reload member
+/// the service has no setting for, or out-of-domain field values.
 Request decode_request(const util::JsonValue& doc);
 
 /// Content fingerprints of a task set (FNV-1a 64-bit over the structural
@@ -85,10 +83,10 @@ Request decode_request(const util::JsonValue& doc);
 ///
 /// `set` hashes the whole set and `task[i]` task i alone. `family` groups
 /// "the same system under mutation": core count plus the sorted task-name
-/// multiset. Mutated resubmissions keep their family, so the service routes
-/// by `family` alone, which sends every incarnation of a system to the same
-/// shard. No verdict is ever looked up by these hashes, so a 64-bit
-/// collision only costs shard balance, never a wrong answer.
+/// multiset, so WCET-edited resubmissions keep their family. The service
+/// does not call fingerprint(): it neither routes nor looks up verdicts by
+/// these hashes. The benchmark's serve workloads use them to build and time
+/// their request mix.
 struct TaskSetFingerprint {
   std::uint64_t set = 0;
   std::uint64_t family = 0;

@@ -1,28 +1,20 @@
-// The admission-service core behind rtpool-serve: sharded scratch contexts,
-// batched dispatch, one verdict memo, and hot reconfiguration that never
-// drops an in-flight request.
+// The admission-service core behind rtpool-serve: one job queue, one
+// verdict memo, and hot reconfiguration that never drops an in-flight
+// request.
 //
-//                 submit() [connection threads: fast memo, else parse +
-//                           fingerprint]
-//                      │
-//            shard = family(fp) % shards        ┌─ per-shard state ─┐
-//                      ▼                        │ scratch RtaContext │
-//   ┌ shard 0 queue ┐ ┌ shard 1 queue ┐  ...    └────────────────────┘
-//   └───────┬───────┘ └───────┬───────┘
-//           ▼                 ▼
-//      worker s%W        worker s%W      (exec::ThreadPool, kPerWorker)
+//        submit() [connection threads: fast memo, else parse]
+//                 │  one job per parsed submission
+//                 ▼
+//   ┌ one FIFO (exec::ThreadPool, kShared) ┐ ──▶ any free worker
+//   └──────────────────────────────────────┘     (thread_local RtaContext)
 //
-// PERFORMANCE MODEL. Each shard owns one arena-backed analysis::RtaContext,
-// and AT MOST ONE dispatch closure per shard is in flight at any time (the
-// `dispatch_scheduled` flag hands off under the queue mutex) — so the
-// context needs NO locking on the hot path: the pinned dispatch closure is
-// its only reader/writer, and the pool's queue mutex provides the
-// happens-before edge between consecutive dispatches. A dispatch drains up
-// to `batch` queued submissions in one closure, so the per-request cost of
-// waking a worker and rebinding the context amortizes across the batch.
-// Routing by the FAMILY fingerprint (core count + task-name multiset,
-// stable across WCET mutations) sends every incarnation of a system to the
-// same shard. Each request is answered one of two ways:
+// PERFORMANCE MODEL. The queue is the paper's work-conserving pool (global
+// intra-pool scheduling, Section 2): one logical FIFO that any free worker
+// serves, so no request waits while a worker idles. A job analyzes its
+// request on its worker's thread_local arena-backed analysis::RtaContext,
+// rebound (reset) per request, so arenas are reused, not reallocated, and
+// no context is ever shared between threads. Each request is answered one
+// of two ways:
 //
 //   * "memo": a byte-identical resubmission is answered ON THE CONNECTION
 //     THREAD from a text-keyed fast memo, before the .taskset is even
@@ -30,9 +22,8 @@
 //     DagTask cache construction, not analysis; hits byte-compare the
 //     stored request identity, so a hash collision costs a miss, never a
 //     wrong answer;
-//   * "cold": everything else is parsed and fingerprinted on the connection
-//     thread, then analyzed on its shard's scratch context (rebound per
-//     request, so arenas are reused, not reallocated).
+//   * "cold": everything else is parsed on the connection thread, then
+//     analyzed by a pool job.
 //
 // Nothing else is reused. Re-serialized and WCET-edited resubmissions run
 // cold: a post-parse content memo's equality witness (a full
@@ -44,36 +35,27 @@
 // byte-identical to the CLI on the same input (asserted by the benchmark's
 // serve workloads, tests/test_serve.cpp and the serve-smoke CI job).
 //
-// HOT RECONFIGURATION. reload() builds the next ServiceConfig, pauses
-// dispatch scheduling, waits for the in-flight dispatch closures to finish
-// their current batches (queued submissions stay queued — nothing is
-// dropped or answered under a half-installed config), swaps the epoch
-// (analyzer / shards / batch / cache) and only THEN re-routes the old
-// epoch's queues into the new shards, applies a worker delta directly to
-// the pool (ThreadPool::add_workers / retire_workers; a resize the pool
-// refuses keeps the old pool size) and resumes. Requests that were dispatched
-// before the reload complete under the old epoch (they hold a shared_ptr
-// to it); requests still queued run under the new one. The
-// swap-before-re-route order pairs with a re-check in enqueue(): a racing
-// submission that still observed the old epoch pushed before the swap, so
-// the re-route pass is guaranteed to pick its entry up; one that observes
-// the new epoch migrates its shard's entries itself. Either way no
-// submission can be stranded in a retired shard's queue.
+// HOT RECONFIGURATION. The configuration lives in an immutable epoch held
+// by shared_ptr. reload() validates the next ServiceConfig, swaps the epoch
+// and applies the worker delta directly to the pool
+// (ThreadPool::add_workers / retire_workers; a resize the pool refuses keeps
+// the old pool size). A job reads the epoch current when it starts, so a
+// job already running finishes under its epoch and a queued one runs under
+// the new one. Queued jobs stay in the pool's one queue throughout — a
+// retiring worker finishes its current job and leaves the rest to the
+// survivors — so nothing is paused, re-routed or dropped.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "analysis/analyzer.h"
-#include "analysis/rta_context.h"
 #include "exec/thread_pool.h"
 #include "model/task_set.h"
 #include "serve/protocol.h"
@@ -82,17 +64,15 @@
 namespace rtpool::serve {
 
 struct ServiceConfig {
-  /// Upper bound on `workers` and on `shards`, checked at construction and
-  /// on every reload before anything is started: a reload request cannot
-  /// make the service spawn unbounded threads or shard contexts.
-  static constexpr std::size_t kMaxWorkersAndShards = 1024;
+  /// Upper bound on `workers`, checked at construction and on every reload
+  /// before anything is started: a reload request cannot make the service
+  /// spawn unbounded threads.
+  static constexpr std::size_t kMaxWorkers = 1024;
 
   std::string analyzer = "global-limited";  ///< Default registry analyzer.
-  std::size_t workers = 4;  ///< Pool workers executing dispatch closures.
-  std::size_t shards = 4;   ///< Context shards (>= 1).
-  std::size_t batch = 8;    ///< Max submissions one dispatch closure drains.
-  /// Fast-memo entries, shared by all shards. 0 disables the memo (every
-  /// request runs cold — the naive baseline the bench compares against).
+  std::size_t workers = 4;  ///< Pool workers, each analyzing one request.
+  /// Fast-memo entries. 0 disables the memo (every request runs cold — the
+  /// naive baseline the bench compares against).
   std::size_t cache = 256;
 };
 
@@ -109,8 +89,7 @@ struct ServiceStats {
   /// stats readers.
   std::uint64_t incremental = 0;
   std::uint64_t cold = 0;          ///< Full cold analyses.
-  std::uint64_t batches = 0;       ///< Dispatch closures executed.
-  std::uint64_t max_batch = 0;     ///< Largest single-dispatch drain.
+  std::uint64_t batches = 0;       ///< Pool jobs: one per queued submission.
   std::uint64_t reloads = 0;       ///< Committed reconfigurations.
   std::uint64_t certified = 0;     ///< Certificates independently checked.
   std::uint64_t cert_failures = 0; ///< Certificates the checker rejected.
@@ -118,9 +97,9 @@ struct ServiceStats {
 
 /// See file header. Thread-safe: submit()/control() may be called from any
 /// number of connection threads; responses are delivered via the submit
-/// callback ON A POOL WORKER (or inline on the submitting thread for
-/// requests rejected before dispatch), so callbacks must be fast and
-/// self-synchronized.
+/// callback ON A POOL WORKER (or inline on the submitting thread for memo
+/// hits and requests rejected before queuing), so callbacks must be fast
+/// and self-synchronized.
 class AdmissionService {
  public:
   /// Rendered JSON response, exactly one per submitted request.
@@ -130,9 +109,8 @@ class AdmissionService {
   /// workload static_asserts its system count below it.
   static constexpr std::size_t kMaxFamilies = 16;
 
-  /// Validates the config (1..kMaxWorkersAndShards workers and shards,
-  /// >= 1 batch, known analyzer name; std::invalid_argument otherwise) and
-  /// spawns the worker pool.
+  /// Validates the config (1..kMaxWorkers workers, known analyzer name;
+  /// std::invalid_argument otherwise) and spawns the worker pool.
   explicit AdmissionService(ServiceConfig config);
 
   /// Drains every queued request (nothing submitted is ever dropped), then
@@ -142,9 +120,9 @@ class AdmissionService {
   AdmissionService(const AdmissionService&) = delete;
   AdmissionService& operator=(const AdmissionService&) = delete;
 
-  /// Submit one decoded request. kSubmit requests are parsed, fingerprinted
-  /// and queued (the callback fires on a pool worker once the verdict is
-  /// rendered); kStats/kReload/kShutdown are handled synchronously and the
+  /// Submit one decoded request. kSubmit requests are parsed and queued
+  /// (the callback fires on a pool worker once the verdict is rendered);
+  /// kStats/kReload/kShutdown are handled synchronously and the
   /// callback fires inline. Invalid submissions (bad .taskset, unknown
   /// analyzer) get an inline error response. After request_shutdown() every
   /// new submission is answered with an error.
@@ -157,8 +135,6 @@ class AdmissionService {
   /// old config stays).
   ServiceConfig reload(const std::optional<std::string>& analyzer,
                        std::optional<std::size_t> workers,
-                       std::optional<std::size_t> shards,
-                       std::optional<std::size_t> batch,
                        std::optional<std::size_t> cache);
 
   /// Stop accepting new submissions and drain everything already queued.
@@ -172,10 +148,8 @@ class AdmissionService {
   void wait_idle();
 
   ServiceStats stats() const;
-  ServiceConfig config() const;
-  std::uint64_t config_version() const {
-    return config_version_.load(std::memory_order_acquire);
-  }
+  ServiceConfig config() const { return current_epoch()->config; }
+  std::uint64_t config_version() const { return current_epoch()->version; }
 
  private:
   /// One memoized verdict: everything needed to re-render a response minus
@@ -231,63 +205,30 @@ class AdmissionService {
         index_;
   };
 
-  /// One queued submission (parsed + routed on the submitting thread, so
-  /// dispatch never blocks on request decoding).
+  /// One queued submission (parsed on the submitting thread, so a pool
+  /// job never blocks on request decoding).
   struct PendingRequest {
     Request request;
     const analysis::Analyzer* analyzer = nullptr;
     std::unique_ptr<model::TaskSet> ts;
-    std::uint64_t family = 0;  ///< TaskSetFingerprint::family: the route.
     Callback done;
   };
 
-  /// Hot-path state of one shard. Only the shard's single in-flight
-  /// dispatch closure touches `scratch` — see file header for why that
-  /// needs no mutex.
-  struct Shard {
-    util::Mutex queue_mutex;
-    std::deque<PendingRequest> queue RTPOOL_GUARDED_BY(queue_mutex);
-    bool dispatch_scheduled RTPOOL_GUARDED_BY(queue_mutex) = false;
-
-    /// Rebound to each request; dispatch-closure-only (unsynchronized by
-    /// design).
-    std::unique_ptr<analysis::RtaContext> scratch;
-  };
-
-  /// The immutable per-reload configuration epoch. In-flight dispatches
-  /// and racing submits hold a shared_ptr, so a reload never invalidates
-  /// what they observe; shards are shared too, so a reload that keeps the
-  /// shard count hands the same shard objects to the next epoch while a
-  /// racing submit still pushes into the same (live) queue object.
+  /// The immutable per-reload configuration epoch. Jobs hold a shared_ptr,
+  /// so a reload never invalidates what a running job observes.
   struct Epoch {
     ServiceConfig config;
     std::uint64_t version = 1;
-    std::vector<std::shared_ptr<Shard>> shards;
   };
 
-  static std::shared_ptr<Epoch> make_epoch(ServiceConfig config,
-                                           std::uint64_t version);
+  std::shared_ptr<const Epoch> current_epoch() const;
 
-  std::shared_ptr<Epoch> current_epoch() const;
-
-  /// Queue one parsed submission on its family's shard and schedule a
-  /// dispatch. Re-checks the epoch after the push and migrates entries out
-  /// of shards a concurrent reload retired, so a submission racing a
-  /// shard-replacing reload can never be stranded in a queue nothing will
-  /// ever drain (see reload()).
-  void enqueue(PendingRequest pending);
-
-  /// Schedule a dispatch closure for `shard` unless one is already in
-  /// flight or dispatching is paused. Caller must NOT hold the shard's
-  /// queue mutex.
-  void schedule_dispatch(const std::shared_ptr<Epoch>& epoch,
-                         std::size_t shard_index);
-
-  /// The dispatch closure body: drain up to `batch` submissions.
-  void run_dispatch(std::shared_ptr<Epoch> epoch, std::size_t shard_index);
+  /// The pool job body: analyze one submission under the current epoch,
+  /// then count it done.
+  void run(PendingRequest& pending);
 
   /// Analyze one submission cold and deliver its response.
-  void process_one(const Epoch& epoch, Shard& shard, PendingRequest& pending);
+  void process_one(const Epoch& epoch, PendingRequest& pending);
 
   void deliver_error(const Callback& done, const std::string& id,
                      const std::string& error);
@@ -313,35 +254,33 @@ class AdmissionService {
   void remember_fast(const Request& request, const std::string& analyzer,
                      MemoEntry entry, std::size_t capacity);
 
-  ServiceConfig base_config_;  ///< Only for config(); epochs hold the truth.
-
-  exec::ThreadPool pool_;
-
   mutable util::Mutex epoch_mutex_;
-  std::shared_ptr<Epoch> epoch_ RTPOOL_GUARDED_BY(epoch_mutex_);
+  std::shared_ptr<const Epoch> epoch_ RTPOOL_GUARDED_BY(epoch_mutex_);
 
-  /// Pre-parse fast memo, shared across shards (connection threads probe it
-  /// before any routing). Verdicts are pure functions of the request
-  /// identity, so entries survive reloads; capacity follows config.cache.
+  /// Pre-parse fast memo (connection threads probe it before parsing).
+  /// Verdicts are pure functions of the request identity, so entries
+  /// survive reloads; capacity follows config.cache.
   mutable util::Mutex fast_mutex_;
   LruCache<std::uint64_t, FastEntry> fast_memo_ RTPOOL_GUARDED_BY(fast_mutex_);
 
-  /// Serializes reload()/request_shutdown() end to end.
+  /// Serializes reload() end to end.
   util::Mutex reload_mutex_;
 
-  mutable util::Mutex dispatch_mutex_;
-  util::CondVar dispatch_cv_;
-  std::size_t active_dispatches_ RTPOOL_GUARDED_BY(dispatch_mutex_) = 0;
-  bool paused_ RTPOOL_GUARDED_BY(dispatch_mutex_) = false;
-  std::uint64_t pending_total_ RTPOOL_GUARDED_BY(dispatch_mutex_) = 0;
+  /// Submissions queued or running; wait_idle() waits for 0.
+  util::Mutex idle_mutex_;
+  util::CondVar idle_cv_;
+  std::uint64_t pending_ RTPOOL_GUARDED_BY(idle_mutex_) = 0;
 
   std::atomic<bool> accepting_{true};
-  std::atomic<std::uint64_t> config_version_{1};
 
   // Counters (relaxed: monotone telemetry, snapshot consistency not needed).
   std::atomic<std::uint64_t> received_{0}, completed_{0}, errors_{0},
-      fast_hits_{0}, cold_{0}, batches_{0}, max_batch_{0}, reloads_{0},
-      certified_{0}, cert_failures_{0};
+      fast_hits_{0}, cold_{0}, batches_{0}, reloads_{0}, certified_{0},
+      cert_failures_{0};
+
+  /// Declared last, so it is destroyed first: its workers are joined while
+  /// everything a finishing job touches is still alive.
+  exec::ThreadPool pool_;
 };
 
 /// Render a ServiceStats + config snapshot as the "stats" response document.

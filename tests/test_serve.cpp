@@ -1,13 +1,15 @@
 // Tests for the rtpool-serve admission service: wire protocol decoding,
 // content fingerprints, the cold and memo service paths and their
-// counters, verdict bit-identity against a direct analyzer run, hot
-// reconfiguration under load (nothing dropped), and the TCP frame server.
+// counters, verdict bit-identity against a direct analyzer run, one queue
+// that any free worker serves, hot reconfiguration under load (nothing
+// dropped), and the TCP frame server.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -122,6 +124,52 @@ std::string submit_sync(AdmissionService& service, Request req) {
   return future.get();
 }
 
+/// Delegates to global-limited. Once armed, its next two analyze() calls
+/// each wait (up to 5 s) until both are in flight at once, so they meet
+/// only if the service runs two requests concurrently. Unarmed calls pass
+/// straight through, so the analyzer is harmless to any other test that
+/// iterates the registry.
+class RendezvousAnalyzer final : public analysis::Analyzer {
+ public:
+  std::string_view name() const override { return "test-rendezvous"; }
+  std::string_view description() const override {
+    return "global-limited, after meeting a second concurrent call";
+  }
+  analysis::AnalyzerCapabilities capabilities() const override {
+    return analysis::get_analyzer("global-limited").capabilities();
+  }
+  analysis::Report analyze(
+      const model::TaskSet& ts, analysis::RtaContext& ctx,
+      const analysis::AnalyzerOptions& options) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++arrived_;
+      cv_.notify_all();
+      if (cv_.wait_for(lock, std::chrono::seconds(5),
+                       [this] { return arrived_ >= 2; }))
+        ++met_;
+    }
+    return analysis::get_analyzer("global-limited").analyze(ts, ctx, options);
+  }
+
+  void arm() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    arrived_ = 0;
+    met_ = 0;
+  }
+  /// Calls that found a second call in flight since arm().
+  int met() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return met_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable int arrived_ = 2;  // unarmed
+  mutable int met_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Protocol decoding.
 
@@ -143,13 +191,16 @@ TEST(ServeProtocolTest, DecodesControlCommands) {
   EXPECT_EQ(decode_request(util::parse_json(R"({"cmd":"shutdown"})")).kind,
             Request::Kind::kShutdown);
   const Request reload = decode_request(util::parse_json(
-      R"({"cmd":"reload","workers":3,"batch":16,"analyzer":"federated"})"));
+      R"({"cmd":"reload","workers":3,"analyzer":"federated"})"));
   EXPECT_EQ(reload.kind, Request::Kind::kReload);
   EXPECT_EQ(reload.reload_workers, std::optional<std::size_t>{3});
-  EXPECT_EQ(reload.reload_batch, std::optional<std::size_t>{16});
   EXPECT_EQ(reload.reload_analyzer, std::optional<std::string>{"federated"});
-  EXPECT_FALSE(reload.reload_shards.has_value());
   EXPECT_FALSE(reload.reload_cache.has_value());
+  const Request cache_only =
+      decode_request(util::parse_json(R"({"cmd":"reload","cache":16})"));
+  EXPECT_EQ(cache_only.reload_cache, std::optional<std::size_t>{16});
+  EXPECT_FALSE(cache_only.reload_workers.has_value());
+  EXPECT_FALSE(cache_only.reload_analyzer.has_value());
 }
 
 TEST(ServeProtocolTest, RejectsMalformedRequests) {
@@ -164,6 +215,20 @@ TEST(ServeProtocolTest, RejectsMalformedRequests) {
   EXPECT_THROW(decode_request(util::parse_json(
                    R"({"taskset":"t","wcet_scale":-1})")),
                ProtocolError);
+  // A reload names only the settings the service has. Members of older
+  // protocol versions fail loudly, naming the member, instead of
+  // committing a reload that changes nothing.
+  for (const std::string member : {"shards", "batch"}) {
+    try {
+      decode_request(util::parse_json(R"({"cmd":"reload","workers":2,")" +
+                                      member + R"(":4})"));
+      ADD_FAILURE() << "reload accepted '" << member << "'";
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + member + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ServeProtocolTest, ExtractMemberReturnsRawBytes) {
@@ -207,7 +272,6 @@ TEST(ServeFingerprintTest, DeterministicAcrossReparse) {
 TEST(AdmissionServiceTest, ColdAndMemoPaths) {
   ServiceConfig config;
   config.workers = 2;
-  config.shards = 2;
   AdmissionService service(config);
   const std::string text = generate_taskset_text(21);
   const std::string expected = reference_report(text, "global-limited");
@@ -251,7 +315,6 @@ TEST(AdmissionServiceTest, ColdAndMemoPaths) {
 TEST(AdmissionServiceTest, CacheZeroDisablesEveryWarmPath) {
   ServiceConfig config;
   config.workers = 1;
-  config.shards = 1;
   config.cache = 0;  // the naive baseline the bench compares against
   AdmissionService service(config);
   const std::string text = generate_taskset_text(22);
@@ -282,6 +345,39 @@ TEST(AdmissionServiceTest, VerdictsMatchEveryRegisteredAnalyzer) {
               reference_report(text, name))
         << "served report differs from direct render for " << name;
   }
+}
+
+TEST(AdmissionServiceTest, SameFamilySubmissionsAreAnalyzedConcurrently) {
+  // A set and its WCET edit share a family fingerprint. With two workers
+  // free they must be analyzed at the same time, not queue behind each
+  // other: the pool is one FIFO that any free worker serves.
+  if (analysis::find_analyzer("test-rendezvous") == nullptr)
+    analysis::register_analyzer(std::make_unique<RendezvousAnalyzer>());
+  const auto& rendezvous = dynamic_cast<const RendezvousAnalyzer&>(
+      analysis::get_analyzer("test-rendezvous"));
+  rendezvous.arm();
+
+  ServiceConfig config;
+  config.workers = 2;
+  AdmissionService service(config);
+  const std::string text = generate_taskset_text(29);
+  const std::string edited = mutate_lowest_priority_task(text);
+  ASSERT_EQ(fingerprint(parse_taskset(text)).family,
+            fingerprint(parse_taskset(edited)).family);
+
+  std::promise<std::string> first;
+  std::promise<std::string> second;
+  service.submit(submit_request(text, "a", "test-rendezvous"),
+                 [&first](const std::string& r) { first.set_value(r); });
+  service.submit(submit_request(edited, "b", "test-rendezvous"),
+                 [&second](const std::string& r) { second.set_value(r); });
+  const std::string a = first.get_future().get();
+  const std::string b = second.get_future().get();
+  EXPECT_EQ(rendezvous.met(), 2) << "the two analyses ran one after the other";
+  EXPECT_EQ(extract_member(a, "report") + "\n",
+            reference_report(text, "global-limited"));
+  EXPECT_EQ(extract_member(b, "report") + "\n",
+            reference_report(edited, "global-limited"));
 }
 
 TEST(AdmissionServiceTest, InvalidSubmissionsGetErrorResponses) {
@@ -333,8 +429,6 @@ TEST(AdmissionServiceTest, ShutdownRejectsNewSubmissions) {
 TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
   ServiceConfig config;
   config.workers = 2;
-  config.shards = 2;
-  config.batch = 4;
   AdmissionService service(config);
 
   std::vector<std::string> texts;
@@ -379,11 +473,10 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
             on_response);
     });
   }
-  // Reconfigure while the submitters are blasting: workers down, batch up.
-  const ServiceConfig committed =
-      service.reload(std::nullopt, 1, std::nullopt, 8, std::nullopt);
+  // Reconfigure while the submitters are blasting: workers down, memo off.
+  const ServiceConfig committed = service.reload(std::nullopt, 1, 0);
   EXPECT_EQ(committed.workers, 1u);
-  EXPECT_EQ(committed.batch, 8u);
+  EXPECT_EQ(committed.cache, 0u);
   for (std::thread& t : submitters) t.join();
 
   std::unique_lock<std::mutex> lock(done_mutex);
@@ -405,35 +498,26 @@ TEST(AdmissionServiceTest, ReloadUnderLoadDropsNothing) {
   EXPECT_EQ(reply.at("config").at("pool_workers").as_number(), 1.0);
 }
 
-TEST(AdmissionServiceTest, RejectsWorkerAndShardCountsAboveTheBound) {
-  // Validation runs before any thread or shard exists, at construction and
-  // on reload, so these calls start nothing they reject.
-  constexpr std::size_t kTooMany = ServiceConfig::kMaxWorkersAndShards + 1;
+TEST(AdmissionServiceTest, RejectsWorkerCountsAboveTheBound) {
+  // Validation runs before any thread exists, at construction and on
+  // reload, so these calls start nothing they reject.
+  constexpr std::size_t kTooMany = ServiceConfig::kMaxWorkers + 1;
   ServiceConfig too_many_workers;
   too_many_workers.workers = kTooMany;
   EXPECT_THROW(AdmissionService{too_many_workers}, std::invalid_argument);
-  ServiceConfig too_many_shards;
-  too_many_shards.shards = kTooMany;
-  EXPECT_THROW(AdmissionService{too_many_shards}, std::invalid_argument);
 
   AdmissionService service(ServiceConfig{});
-  EXPECT_THROW(service.reload(std::nullopt, kTooMany, std::nullopt,
-                              std::nullopt, std::nullopt),
-               std::invalid_argument);
-  EXPECT_THROW(service.reload(std::nullopt, std::nullopt, kTooMany,
-                              std::nullopt, std::nullopt),
+  EXPECT_THROW(service.reload(std::nullopt, kTooMany, std::nullopt),
                std::invalid_argument);
   EXPECT_EQ(service.config_version(), 1u);
   EXPECT_EQ(service.config().workers, ServiceConfig{}.workers);
-  EXPECT_EQ(service.config().shards, ServiceConfig{}.shards);
 }
 
-TEST(AdmissionServiceTest, ReloadKeepingShardCountSwitchesAnalyzerAndCache) {
-  // Same shard count: the shard objects carry over, while the new default
-  // analyzer and the disabled memo apply to the next request.
+TEST(AdmissionServiceTest, ReloadSwitchesAnalyzerAndCache) {
+  // The new default analyzer and the disabled memo apply to the next
+  // request.
   ServiceConfig config;
   config.workers = 2;
-  config.shards = 2;
   AdmissionService service(config);
   const std::string text = generate_taskset_text(28);
   const std::string first =
@@ -441,8 +525,7 @@ TEST(AdmissionServiceTest, ReloadKeepingShardCountSwitchesAnalyzerAndCache) {
   EXPECT_EQ(util::parse_json(first).at("analyzer").as_string(),
             "global-limited");
 
-  service.reload("global-baseline", std::nullopt, std::nullopt, std::nullopt,
-                 /*cache=*/0);
+  service.reload("global-baseline", std::nullopt, /*cache=*/0);
   const std::string second =
       submit_sync(service, submit_request(text, "b", /*analyzer=*/""));
   const util::JsonValue doc = util::parse_json(second);
@@ -455,9 +538,8 @@ TEST(AdmissionServiceTest, ReloadKeepingShardCountSwitchesAnalyzerAndCache) {
 
 TEST(AdmissionServiceTest, ThrowingDeliveryCallbackDoesNotWedgeDispatch) {
   // Regression: an exception escaping per-request processing on a pool
-  // worker used to leave dispatch_scheduled set and the active/pending
-  // counters undrained, permanently wedging the shard — wait_idle() and
-  // the destructor would hang.
+  // worker used to leave the service's pending count undrained, so
+  // wait_idle() and the destructor would hang.
   AdmissionService service(ServiceConfig{});
   std::promise<void> first_called;
   service.submit(submit_request(generate_taskset_text(26), "boom"),
@@ -466,24 +548,21 @@ TEST(AdmissionServiceTest, ThrowingDeliveryCallbackDoesNotWedgeDispatch) {
                    throw std::runtime_error("client callback exploded");
                  });
   first_called.get_future().wait();
-  service.wait_idle();  // hangs without the run_dispatch exception guard
+  service.wait_idle();  // hangs without the per-request exception guard
 
-  // The shard still dispatches subsequent work.
+  // The service still analyzes subsequent work.
   const std::string response =
       submit_sync(service, submit_request(generate_taskset_text(27), "after"));
   EXPECT_TRUE(util::parse_json(response).at("ok").as_bool());
   EXPECT_EQ(service.stats().completed, 2u);
 }
 
-TEST(AdmissionServiceTest, ShardReplacingReloadStormDropsNothing) {
-  // Hammers the submit/reload race: every reload here changes the shard
-  // count, so queued submissions are re-routed into brand-new shard
-  // objects — the exact path where a racing push used to land in a retired
-  // shard's queue after its re-route pass and sit there forever.
+TEST(AdmissionServiceTest, ResizingReloadStormDropsNothing) {
+  // Hammers the submit/reload race: every reload here resizes the pool
+  // while submissions are queued, so retiring workers must leave every
+  // queued job to the survivors and none may be lost or run twice.
   ServiceConfig config;
   config.workers = 2;
-  config.shards = 2;
-  config.batch = 2;
   AdmissionService service(config);
 
   std::vector<std::string> texts;
@@ -510,8 +589,7 @@ TEST(AdmissionServiceTest, ShardReplacingReloadStormDropsNothing) {
     });
   }
   for (int r = 0; r < 6; ++r)
-    service.reload(std::nullopt, std::nullopt, r % 2 == 0 ? 3 : 2,
-                   std::nullopt, std::nullopt);
+    service.reload(std::nullopt, r % 2 == 0 ? 3 : 2, std::nullopt);
   for (std::thread& t : submitters) t.join();
   service.wait_idle();  // hangs if any submission was stranded
 
