@@ -1,4 +1,4 @@
-# ctest helper for the figure driver and the CLI reports (registered in
+# ctest helper for the figure driver and the CLIs (registered in
 # bench/CMakeLists.txt and examples/CMakeLists.txt).
 #
 #   cmake -DEXE=<binary> "-DARGS=<flags>" <mode> -P check_figure.cmake

@@ -181,19 +181,6 @@ void BM_FifoBlockingNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_FifoBlockingNaive)->Arg(16)->Arg(64)->Arg(256)->Complexity();
 
-void BM_TaskSetViewBuild(benchmark::State& state) {
-  // The SoA mirror: flattening a task set's per-node WCETs/types and
-  // per-task scalars into the context's arena. reset() + view() per
-  // iteration measures the rebuild the engine pays once per trial.
-  const auto ts = make_set(8, static_cast<std::size_t>(state.range(0)), 46);
-  analysis::RtaContext ctx(ts);
-  for (auto _ : state) {
-    ctx.reset(ts);
-    benchmark::DoNotOptimize(ctx.view().task_count());
-  }
-}
-BENCHMARK(BM_TaskSetViewBuild)->Arg(2)->Arg(8)->Arg(16);
-
 void BM_BindPartitionFlat(benchmark::State& state) {
   // The flat partition-bind kernel: per-core workloads W_{i,p} and FIFO
   // blocking vectors B_v for the whole set, streamed into task-major flat
@@ -213,36 +200,9 @@ void BM_BindPartitionFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_BindPartitionFlat)->Arg(2)->Arg(8)->Arg(16);
 
-void BM_IncrementalReVerdict(benchmark::State& state) {
-  // Incremental re-analysis after a single-task WCET change: copy the
-  // clean priority-order prefix from the prior run, re-run only the dirty
-  // suffix. Contrast with BM_ColdReVerdict (the full fixed-point sweep).
-  const auto ts = make_set(8, static_cast<std::size_t>(state.range(0)), 49);
-  analysis::GlobalRtaOptions opts;
-  opts.limited_concurrency = true;
-  analysis::RtaContext prior(ts);
-  prior.set_snapshots(true);
-  analysis::analyze_global(ts, opts, &prior);
-
-  // Dirty the LOWEST-priority task: the copyable prefix is maximal.
-  const std::size_t dirty_task = ts.priority_order().back();
-  std::vector<std::optional<std::size_t>> task_map(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) task_map[i] = i;
-  std::vector<char> dirty(ts.size(), 0);
-  dirty[dirty_task] = 1;
-
-  analysis::RtaContext ctx(ts);
-  for (auto _ : state) {
-    ctx.reset(ts);
-    ctx.begin_incremental(prior, task_map, dirty);
-    benchmark::DoNotOptimize(analysis::analyze_global(ts, opts, &ctx).schedulable);
-  }
-}
-BENCHMARK(BM_IncrementalReVerdict)->Arg(2)->Arg(8)->Arg(16);
-
 void BM_ColdReVerdict(benchmark::State& state) {
-  // The cold baseline BM_IncrementalReVerdict is measured against (same
-  // reused context, no incremental state).
+  // A whole-set global-limited re-verdict on a context reset per
+  // iteration: every fixed point and every cached order is recomputed.
   const auto ts = make_set(8, static_cast<std::size_t>(state.range(0)), 49);
   analysis::GlobalRtaOptions opts;
   opts.limited_concurrency = true;

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,8 +38,16 @@ void parse_seed_range(const std::string& spec, corpus::CorpusConfig& config) {
   if (colon == std::string::npos)
     throw std::invalid_argument("--seed-range expects BEGIN:END, got '" +
                                 spec + "'");
-  config.seed_begin = std::stoull(spec.substr(0, colon));
-  config.seed_end = std::stoull(spec.substr(colon + 1));
+  const auto bound = [&spec](const std::string& text) {
+    const std::optional<std::uint64_t> value = util::parse_uint64(text);
+    if (!value)
+      throw std::invalid_argument(
+          "--seed-range expects non-negative integers BEGIN:END, got '" + text +
+          "' in '" + spec + "'");
+    return *value;
+  };
+  config.seed_begin = bound(spec.substr(0, colon));
+  config.seed_end = bound(spec.substr(colon + 1));
   if (config.seed_end < config.seed_begin)
     throw std::invalid_argument("--seed-range: END < BEGIN in '" + spec + "'");
 }

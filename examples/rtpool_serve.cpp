@@ -191,9 +191,13 @@ int run_client(const util::Args& args) {
   const std::size_t colon = endpoint.rfind(':');
   if (colon == std::string::npos)
     throw std::invalid_argument("--connect expects HOST:PORT");
-  util::Socket socket = util::tcp_connect(
-      endpoint.substr(0, colon),
-      static_cast<std::uint16_t>(std::stoi(endpoint.substr(colon + 1))));
+  const std::string port_text = endpoint.substr(colon + 1);
+  const std::optional<std::uint64_t> port = util::parse_uint64(port_text);
+  if (!port || *port == 0 || *port > 65535)
+    throw std::invalid_argument("--connect expects a port in 1-65535, got '" +
+                                port_text + "'");
+  util::Socket socket = util::tcp_connect(endpoint.substr(0, colon),
+                                          static_cast<std::uint16_t>(*port));
 
   std::ostringstream os;
   util::JsonWriter w(os);

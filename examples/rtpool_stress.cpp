@@ -34,10 +34,10 @@
 //                   crashed=false), never as a deadlock StallReport, and
 //                   the wedged node must be re-dispatched exactly once;
 //   elastic       — a seeded admit/evict/resize stream through the
-//                   ModeChangeController: its incremental verdicts must
-//                   be bit-identical to cold re-analysis, and two
-//                   replays of the same stream must render identical
-//                   transition logs (determinism contract).
+//                   ModeChangeController: the independent checker must
+//                   accept the certificate of every analyzed transition,
+//                   and two replays of the same stream must render
+//                   identical transition logs (determinism contract).
 //
 // Every verdict is checked; any violation prints the replay seed and the
 // fault plan and exits 1. All randomness derives from --base-seed, so every
@@ -389,11 +389,11 @@ void run_elastic(std::uint64_t seed, std::FILE* transition_log) {
   const std::vector<exp::ElasticRequest> requests =
       exp::make_elastic_scenario(params, seed);
   const exec::FaultPlan no_plan;  // scenario carries no node faults
-  const exp::ElasticReplay first =
-      exp::replay_elastic(requests, config, nullptr, /*verify_cold=*/true);
-  if (!first.verdicts_agree)
+  const exp::ElasticReplay first = exp::replay_elastic(requests, config);
+  if (first.certificate_failures != 0)
     fail(context, no_plan,
-         "controller verdict differs from cold re-analysis");
+         std::to_string(first.certificate_failures) +
+             " transition certificate(s) missing or rejected by the checker");
   if (first.committed + first.rejected != requests.size())
     fail(context, no_plan, "transition log lost requests");
   for (const exec::ModeTransition& tr : first.log)
@@ -402,17 +402,16 @@ void run_elastic(std::uint64_t seed, std::FILE* transition_log) {
 
   // Determinism contract: a second replay of the same stream must render
   // an identical timing-stripped transition log.
-  const exp::ElasticReplay second =
-      exp::replay_elastic(requests, config, nullptr, /*verify_cold=*/false);
+  const exp::ElasticReplay second = exp::replay_elastic(requests, config);
   if (first.log_json != second.log_json)
     fail(context, no_plan, "replayed transition logs differ (nondeterminism)");
 
   if (transition_log != nullptr)
     std::fputs(first.log_json.c_str(), transition_log);
   if (g_verbose)
-    std::printf("  [%s] ok: %zu committed, %zu rejected, %zu verified cold\n",
+    std::printf("  [%s] ok: %zu committed, %zu rejected, %zu certified\n",
                 context.c_str(), first.committed, first.rejected,
-                first.verified);
+                first.certified);
 }
 
 }  // namespace

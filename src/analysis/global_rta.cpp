@@ -87,39 +87,13 @@ GlobalRtaResult analyze_global(const model::TaskSet& ts,
     period[i] = ts.task(i).period();
   }
 
-  // Incremental re-analysis: copy the structural prefix's verdicts from the
-  // prior run when the analysis fingerprint matches (see rta_context.h).
-  const RtaContext::GlobalSnapshot* prior_snap = nullptr;
-  std::size_t inc_limit = 0;
-  if (ctx->incremental_active()) {
-    const RtaContext::GlobalSnapshot& s = ctx->incremental_prior_global();
-    if (s.valid && s.cores == m && s.scale == scale &&
-        same_analysis(s.options, options) &&
-        (certificate == nullptr || s.cert.has_value())) {
-      prior_snap = &s;
-      inc_limit = ctx->incremental_prefix();
-    }
-  }
-
   std::vector<Time> response(ts.size(), util::kTimeInfinity);
 
-  const std::vector<std::size_t>& order = ctx->priority_order();
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const std::size_t idx = order[pos];
+  for (const std::size_t idx : ctx->priority_order()) {
     const model::DagTask& task = ts.task(idx);
     TaskRta& rta = result.per_task[idx];
     cert::GlobalTaskCert* tcert =
         certificate != nullptr ? &certificate->per_task[idx] : nullptr;
-
-    if (pos < inc_limit) {
-      const std::size_t j = ctx->incremental_prior_index()[idx];
-      rta = prior_snap->per_task[j];
-      response[idx] = prior_snap->committed[j];
-      if (!rta.schedulable) result.schedulable = false;
-      if (tcert != nullptr) *tcert = prior_snap->cert->per_task[j];
-      ctx->note_incremental_hit();
-      continue;
-    }
 
     if (tcert != nullptr && options.limited_concurrency)
       tcert->concurrency = cert::make_concurrency_witness(
@@ -213,19 +187,6 @@ GlobalRtaResult analyze_global(const model::TaskSet& ts,
     }
   }
 
-  if (ctx->snapshots_enabled()) {
-    RtaContext::GlobalSnapshot& snap = ctx->global_snapshot();
-    snap.valid = true;
-    snap.scale = scale;
-    snap.cores = m;
-    snap.options = options;
-    snap.per_task = result.per_task;
-    snap.committed = response;
-    if (certificate != nullptr)
-      snap.cert = *certificate;
-    else
-      snap.cert.reset();
-  }
   return result;
 }
 

@@ -81,11 +81,10 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
   validate_partition(ts, partition);
 
   // All per-(task, assignment) state — workloads W_{i,p}, blocking vectors
-  // B_v, Lemma-3 verdicts, topological orders, DP scratch — lives in an
-  // RtaContext. A caller-provided context amortizes it across calls
-  // (sensitivity probes, the experiment engine's per-trial analyses); a
-  // local one reproduces the former per-call work, minus the old O(|V|²)
-  // per-call blocking lambda.
+  // B_v, Lemma-3 verdicts, DP scratch — lives in an RtaContext. A
+  // caller-provided context amortizes it across calls (sensitivity probes,
+  // the experiment engine's per-trial analyses); a local one reproduces the
+  // former per-call work, minus the old O(|V|²) per-call blocking lambda.
   std::optional<RtaContext> local_ctx;
   if (ctx == nullptr) {
     local_ctx.emplace(ts);
@@ -115,47 +114,14 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
 
   const bool split = options.bound == PartitionedBound::kSplitPerSegment;
 
-  // Incremental re-analysis: verdicts of the structural prefix are copied
-  // from the prior run when the whole analysis fingerprint matches and the
-  // task keeps its node-to-thread row (the RTA of a prefix task is a pure
-  // function of inputs the prefix guard proves unchanged).
-  const RtaContext::PartitionedSnapshot* prior_snap = nullptr;
-  std::size_t inc_limit = 0;
-  if (ctx->incremental_active()) {
-    const RtaContext::PartitionedSnapshot& s = ctx->incremental_prior_partitioned();
-    if (s.valid && s.cores == m && s.scale == scale &&
-        same_analysis(s.options, options) &&
-        (certificate == nullptr || s.cert.has_value())) {
-      prior_snap = &s;
-      inc_limit = ctx->incremental_prefix();
-    }
-  }
-
   std::vector<Time> response(ts.size(), util::kTimeInfinity);
 
-  const std::vector<std::size_t>& order = ctx->priority_order();
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    const std::size_t idx = order[pos];
+  for (const std::size_t idx : ctx->priority_order()) {
     const model::DagTask& task = ts.task(idx);
     const std::size_t n = task.node_count();
     PartitionedTaskRta& rta = result.per_task[idx];
     cert::PartitionedTaskCert* tcert =
         certificate != nullptr ? &certificate->per_task[idx] : nullptr;
-
-    if (pos < inc_limit) {
-      const std::size_t j = ctx->incremental_prior_index()[idx];
-      if (prior_snap->thread_of[j] == partition.per_task[idx].thread_of) {
-        rta = prior_snap->per_task[j];
-        response[idx] = prior_snap->committed[j];
-        if (!rta.schedulable) result.schedulable = false;
-        if (tcert != nullptr) *tcert = prior_snap->cert->per_task[j];
-        ctx->note_incremental_hit();
-        continue;
-      }
-      // A changed partition row changes this task's inputs, hence possibly
-      // its response — everything at lower priority must run live too.
-      inc_limit = pos;
-    }
 
     rta.deadlock_free = ctx->deadlock_free(idx);
     if (tcert != nullptr) tcert->deadlock_free = rta.deadlock_free;
@@ -212,7 +178,7 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
       weights.resize(n);
       for (model::NodeId v = 0; v < n; ++v)
         weights[v] = scale * (task.wcet(v) + blocking[v]);
-      const Time base = graph::longest_path_length(task.dag(), ctx->topo_order(idx),
+      const Time base = graph::longest_path_length(task.dag(), task.topo_order(),
                                                    weights, ctx->dp_scratch());
 
       // Hoist the interference terms out of the fixed point: every hp
@@ -341,7 +307,7 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
     }
 
     // SPLIT composition: longest DAG path over segment response times.
-    rta.response_time = graph::longest_path_length(task.dag(), ctx->topo_order(idx),
+    rta.response_time = graph::longest_path_length(task.dag(), task.topo_order(),
                                                    segment, ctx->dp_scratch());
     rta.schedulable = util::time_le(rta.response_time, deadline);
     response[idx] = rta.response_time;
@@ -356,23 +322,6 @@ PartitionedRtaResult analyze_partitioned(const model::TaskSet& ts,
     }
   }
 
-  if (ctx->snapshots_enabled()) {
-    RtaContext::PartitionedSnapshot& snap = ctx->partitioned_snapshot();
-    snap.valid = true;
-    snap.scale = scale;
-    snap.cores = m;
-    snap.options = options;
-    snap.per_task = result.per_task;
-    snap.committed = response;
-    snap.thread_of.clear();
-    snap.thread_of.reserve(ts.size());
-    for (const NodeAssignment& a : partition.per_task)
-      snap.thread_of.push_back(a.thread_of);
-    if (certificate != nullptr)
-      snap.cert = *certificate;
-    else
-      snap.cert.reset();
-  }
   return result;
 }
 

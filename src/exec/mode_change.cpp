@@ -39,13 +39,8 @@ ModeChangeController::ModeChangeController(ModeChangeConfig config,
   snap->task_set = initial;
   snap->workers = workers;
   snap->version = 1;
-  {
-    util::MutexLock lock(state_mutex_);
-    mode_ = snap;
-  }
-  util::MutexLock req(request_mutex_);
-  ctx_ = std::make_unique<analysis::RtaContext>(*initial);
-  ctx_->set_snapshots(true);
+  util::MutexLock lock(state_mutex_);
+  mode_ = snap;
 }
 
 ModeTransition ModeChangeController::admit(const model::DagTask& task) {
@@ -68,14 +63,6 @@ ModeSnapshot ModeChangeController::mode() const {
 std::vector<ModeTransition> ModeChangeController::transition_log() const {
   util::MutexLock lock(state_mutex_);
   return log_;
-}
-
-analysis::Report ModeChangeController::cold_analyze(
-    const model::TaskSet& proposed) const {
-  analysis::AnalyzerOptions opts = config_.options;
-  opts.diagnostics = true;
-  analysis::RtaContext ctx(proposed);  // nothing copied: a true cold run
-  return analyzer_->analyze(proposed, ctx, opts);
 }
 
 std::shared_ptr<const ModeSnapshot> ModeChangeController::begin_job() {
@@ -134,21 +121,15 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
   // ---- 1. PROPOSE ----
   std::size_t workers = cur->workers;
   std::shared_ptr<model::TaskSet> proposed;
-  // task_map[i] = index of proposed task i in the PREVIOUS set (nullopt for
-  // the newly admitted task) — the incremental remap.
-  std::vector<std::optional<std::size_t>> task_map;
   std::string build_error;
   try {
     switch (kind) {
       case ModeRequestKind::kAdmit: {
         tr.detail = task->name();
         proposed = std::make_shared<model::TaskSet>(workers);
-        for (std::size_t i = 0; i < cur->task_set->size(); ++i) {
+        for (std::size_t i = 0; i < cur->task_set->size(); ++i)
           proposed->add(cur->task_set->task(i));
-          task_map.emplace_back(i);
-        }
         proposed->add(*task);
-        task_map.emplace_back(std::nullopt);
         break;
       }
       case ModeRequestKind::kEvict: {
@@ -161,7 +142,6 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
             continue;
           }
           proposed->add(cur->task_set->task(i));
-          task_map.emplace_back(i);
         }
         if (!found) build_error = "no task named '" + evict_name + "'";
         break;
@@ -175,10 +155,8 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
         }
         workers = new_workers;
         proposed = std::make_shared<model::TaskSet>(new_workers);
-        for (std::size_t i = 0; i < cur->task_set->size(); ++i) {
+        for (std::size_t i = 0; i < cur->task_set->size(); ++i)
           proposed->add(cur->task_set->task(i));
-          task_map.emplace_back(i);
-        }
         break;
       }
     }
@@ -205,17 +183,8 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
   // ---- 2. ANALYZE ----
   analysis::AnalyzerOptions opts = config_.options;
   opts.diagnostics = true;  // every verdict carries its certificate witness
-  auto ctx = std::make_unique<analysis::RtaContext>(*proposed);
-  // Record snapshots on this context too: if the proposal commits, the
-  // NEXT transition analyzes incrementally against this run's results.
-  ctx->set_snapshots(true);
-  // Sound for every kind: begin_incremental's structural prefix plus the
-  // per-analyze guards (options fingerprint, scale, core count, partition
-  // rows) only copy verdicts whose inputs are provably unchanged — a
-  // resize to a new m, say, copies nothing.
-  tr.incremental_prefix = ctx->begin_incremental(*ctx_, task_map);
   try {
-    tr.report = analyzer_->analyze(*proposed, *ctx, opts);
+    tr.report = analyzer_->analyze(*proposed, opts);
     tr.accepted = tr.report.schedulable;
     if (!tr.accepted) {
       std::ostringstream why;
@@ -230,7 +199,6 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
     tr.accepted = false;
     tr.reject_reason = std::string("analysis error: ") + e.what();
   }
-  tr.incremental_hits = ctx->incremental_hits();
 
   if (!tr.accepted) return finalize(tr);
 
@@ -298,8 +266,6 @@ ModeTransition ModeChangeController::process(ModeRequestKind kind,
     tr.reject_reason = "pool resize failed: " + pool_error;
     return finalize(tr);
   }
-  // The committed mode's context feeds the next transition's copy.
-  ctx_ = std::move(ctx);
   tr.committed = true;
   tr.workers_after = workers;
   return finalize(tr);
@@ -310,7 +276,7 @@ std::string ModeChangeController::render_log_json(bool include_timings) const {
   std::ostringstream out;
   util::JsonWriter json(out);
   json.begin_object();
-  json.kv("schema", "rtpool-mode-transitions-v2");
+  json.kv("schema", "rtpool-mode-transitions-v3");
   json.kv("analyzer", config_.analyzer);
   json.key("transitions");
   json.begin_array();
@@ -322,10 +288,6 @@ std::string ModeChangeController::render_log_json(bool include_timings) const {
     json.kv("accepted", tr.accepted);
     json.kv("committed", tr.committed);
     json.kv("cross_check_ok", tr.cross_check_ok);
-    json.kv("incremental_prefix",
-            static_cast<std::uint64_t>(tr.incremental_prefix));
-    json.kv("incremental_hits",
-            static_cast<std::uint64_t>(tr.incremental_hits));
     json.kv("reject_reason", tr.reject_reason);
     json.kv("schedulable", tr.report.schedulable);
     json.kv("has_certificate", tr.report.certificate != nullptr);

@@ -11,16 +11,10 @@
 //        ▼
 //   1. PROPOSE   — build the candidate configuration (task set + core
 //                  count) from the current committed mode;
-//   2. ANALYZE   — run a registry analyzer over the proposal, analyzed
-//                  incrementally against the committed mode's recorded
-//                  snapshots (RtaContext::begin_incremental): the longest
-//                  priority-order prefix of surviving tasks with provably
-//                  unchanged inputs gets its verdicts (and certificate
-//                  payloads) copied instead of re-run — bit-identical to a
-//                  cold full re-analysis by construction. Sound for admit,
-//                  evict and resize alike: the per-analyze guards (equal
-//                  options, scale, core count, partition rows) reject any
-//                  copy whose inputs changed.
+//   2. ANALYZE   — run the registry analyzer over the whole proposal,
+//                  cold: the verdict is exactly
+//                  analyzer.analyze(proposal, options) with diagnostics on,
+//                  whatever the request kind or the history before it.
 //   3. DECIDE    — reject unless the analysis proves the proposal
 //                  schedulable. Rejections carry the analyzer Report with
 //                  its machine-checkable certificate (cert.h): the witness
@@ -42,8 +36,8 @@
 // DETERMINISM CONTRACT: the controller derives nothing from wall-clock or
 // randomness — feeding the same request sequence to a fresh controller
 // with the same config yields an identical log (verdicts, reasons,
-// incremental prefixes, certificates), except for the decision_ms timings;
-// compare via render_log_json(/*include_timings=*/false).
+// certificates), except for the decision_ms timings; compare via
+// render_log_json(/*include_timings=*/false).
 #pragma once
 
 #include <cstdint>
@@ -54,7 +48,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/partition.h"
-#include "analysis/rta_context.h"
 #include "exec/thread_pool.h"
 #include "model/dag_task.h"
 #include "model/task_set.h"
@@ -97,14 +90,12 @@ struct ModeTransition {
   bool accepted = false;   ///< The analysis proved the proposal schedulable.
   bool committed = false;  ///< Installed as the current mode.
   bool cross_check_ok = true;   ///< Runtime re-validation verdict.
-  std::size_t incremental_prefix = 0;  ///< Copyable priority-order prefix.
-  std::size_t incremental_hits = 0;    ///< Per-task fixed points copied.
   std::string reject_reason;    ///< Why not committed ("" when committed).
   /// Full analyzer verdict; `report.certificate` is the machine-checkable
   /// witness (always attached — diagnostics is forced on).
   analysis::Report report;
   /// The analyzed candidate configuration (shared, immutable). Enables
-  /// independent cold re-analysis and certificate checking.
+  /// independent certificate checking (cert::check_certificate).
   std::shared_ptr<const model::TaskSet> proposed;
   std::size_t workers_after = 0;  ///< Committed pool size after the request.
   double decision_ms = 0.0;       ///< Request-to-verdict wall time.
@@ -127,7 +118,7 @@ class ModeChangeController {
   /// Request removal of the task named `task_name`.
   ModeTransition evict(const std::string& task_name);
   /// Request a pool resize to `new_workers` (the whole surviving task set
-  /// is re-analyzed at the new m, cold).
+  /// is re-analyzed at the new m).
   ModeTransition resize(std::size_t new_workers);
 
   /// The committed mode (snapshot copy; the shared task set stays valid).
@@ -140,11 +131,6 @@ class ModeChangeController {
   /// include_timings = false the output is bit-identical across replays of
   /// the same request sequence — the determinism contract.
   std::string render_log_json(bool include_timings = true) const;
-
-  /// Re-run the controller's analyzer cold (fresh context, nothing copied)
-  /// over an arbitrary configuration — the independent comparator for the
-  /// incremental-equals-cold property.
-  analysis::Report cold_analyze(const model::TaskSet& proposed) const;
 
   const ModeChangeConfig& config() const { return config_; }
 
@@ -192,9 +178,6 @@ class ModeChangeController {
   /// Serializes requests end-to-end (decide + drain + commit). Acquired
   /// before state_mutex_; never the other way around.
   util::Mutex request_mutex_;
-  /// Context of the COMMITTED mode (snapshots recorded); borrows
-  /// *mode()->task_set. Only the (serialized) request path touches it.
-  std::unique_ptr<analysis::RtaContext> ctx_ RTPOOL_GUARDED_BY(request_mutex_);
 
   mutable util::Mutex state_mutex_;
   util::CondVar state_cv_;

@@ -1,5 +1,6 @@
 #include "exp/elastic_scenarios.h"
 
+#include "analysis/cert_check.h"
 #include "util/rng.h"
 
 namespace rtpool::exp {
@@ -43,7 +44,7 @@ std::vector<ElasticRequest> make_elastic_scenario(
 
 ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
                              const exec::ModeChangeConfig& config,
-                             exec::ThreadPool* pool, bool verify_cold) {
+                             exec::ThreadPool* pool) {
   exec::ModeChangeController controller(config, pool);
   ElasticReplay out;
   out.log.reserve(requests.size());
@@ -64,13 +65,16 @@ ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
     if (tr.committed) ++out.committed;
     else ++out.rejected;
 
-    // A transition is comparable when the analyzer actually ran: a
+    // A transition was analyzed when the analyzer actually ran: a
     // PROPOSE-stage reject (bogus evict, duplicate name, zero resize)
     // carries a default-constructed Report with no analyzer name.
-    if (verify_cold && tr.proposed != nullptr && !tr.report.analyzer.empty()) {
-      const analysis::Report cold = controller.cold_analyze(*tr.proposed);
-      ++out.verified;
-      if (!(cold == tr.report)) out.verdicts_agree = false;
+    if (tr.proposed != nullptr && !tr.report.analyzer.empty()) {
+      const bool ok =
+          tr.report.certificate != nullptr &&
+          analysis::cert::check_certificate(*tr.proposed, *tr.report.certificate)
+              .ok();
+      if (ok) ++out.certified;
+      else ++out.certificate_failures;
     }
     out.log.push_back(std::move(tr));
   }

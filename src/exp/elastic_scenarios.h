@@ -6,9 +6,9 @@
 // resize requests with generated NFJ tasks (unique names, distinct
 // priorities) and occasional invalid requests (evicting a task that never
 // existed) to exercise the reject path. replay_elastic feeds the stream to
-// a fresh controller and — optionally — re-runs every analyzed proposal
-// COLD through the same analyzer, asserting the controller's incremental
-// verdicts are bit-identical (Report::operator== includes certificates).
+// a fresh controller and hands the certificate of every analyzed proposal
+// to the independent checker (cert::check_certificate), so each verdict the
+// controller acted on — admission or rejection — is re-validated.
 #pragma once
 
 #include <cstdint>
@@ -53,20 +53,19 @@ struct ElasticReplay {
   std::vector<exec::ModeTransition> log;  ///< One entry per request.
   std::size_t committed = 0;
   std::size_t rejected = 0;
-  /// Controller == cold verdict agreement over every analyzed proposal
-  /// (always true when verify_cold was off or nothing was comparable).
-  bool verdicts_agree = true;
-  std::size_t verified = 0;      ///< Proposals compared against a cold run.
-  std::string log_json;          ///< render_log_json(include_timings=false).
+  /// Analyzed transitions whose certificate the checker accepted.
+  std::size_t certified = 0;
+  /// Analyzed transitions whose certificate was rejected or missing.
+  std::size_t certificate_failures = 0;
+  std::string log_json;  ///< render_log_json(include_timings=false).
 };
 
 /// Feed `requests` to a fresh controller built from `config` (and an
-/// optional pool, which then receives committed resizes). With verify_cold,
-/// every transition that reached analysis is re-analyzed cold and compared
-/// by Report value equality — the incremental-equals-cold property.
+/// optional pool, which then receives committed resizes). Every transition
+/// that reached analysis has its certificate checked against the analyzed
+/// proposal.
 ElasticReplay replay_elastic(const std::vector<ElasticRequest>& requests,
                              const exec::ModeChangeConfig& config,
-                             exec::ThreadPool* pool = nullptr,
-                             bool verify_cold = true);
+                             exec::ThreadPool* pool = nullptr);
 
 }  // namespace rtpool::exp

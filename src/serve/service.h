@@ -11,9 +11,9 @@
 // PERFORMANCE MODEL. The queue is the paper's work-conserving pool (global
 // intra-pool scheduling, Section 2): one logical FIFO that any free worker
 // serves, so no request waits while a worker idles. A job analyzes its
-// request on its worker's thread_local arena-backed analysis::RtaContext,
-// rebound (reset) per request, so arenas are reused, not reallocated, and
-// no context is ever shared between threads. Each request is answered one
+// request on its worker's thread_local analysis::RtaContext, rebound
+// (reset) per request, so its buffers are reused, not reallocated, and no
+// context is ever shared between threads. Each request is answered one
 // of two ways:
 //
 //   * "memo": a byte-identical resubmission is answered ON THE CONNECTION

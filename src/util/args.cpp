@@ -14,6 +14,19 @@ bool is_known(const std::vector<std::string>& keys, const std::string& key) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_uint64(const std::string& text) {
+  const auto first = text.find_first_not_of(" \t");
+  if (first != std::string::npos && text[first] == '-') return std::nullopt;
+  try {
+    std::size_t consumed = 0;
+    const std::uint64_t value = std::stoull(text, &consumed);
+    if (consumed != text.size()) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 Args::Args(int argc, const char* const argv[], const std::vector<std::string>& known_keys) {
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];
@@ -67,19 +80,9 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
 std::uint64_t Args::get_uint64(const std::string& key, std::uint64_t fallback) const {
   const auto v = raw(key);
   if (!v) return fallback;
-  const auto first = v->find_first_not_of(" \t");
-  if (first != std::string::npos && (*v)[first] == '-')
-    throw std::invalid_argument("Args: --" + key +
-                                " expects a non-negative integer, got '" + *v + "'");
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(*v, &consumed);
-    if (consumed != v->size()) throw std::invalid_argument(*v);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + key +
-                                " expects a non-negative integer, got '" + *v + "'");
-  }
+  if (const std::optional<std::uint64_t> value = parse_uint64(*v)) return *value;
+  throw std::invalid_argument("Args: --" + key +
+                              " expects a non-negative integer, got '" + *v + "'");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {

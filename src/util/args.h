@@ -13,6 +13,12 @@
 
 namespace rtpool::util {
 
+/// Parse `text` as a whole unsigned 64-bit decimal integer: no minus sign,
+/// nothing after the digits, no overflow; nullopt otherwise. Every unsigned
+/// flag value goes through it — Args::get_uint64 and the CLIs' `A:B`
+/// splitters — so each can name its flag in its own error message.
+std::optional<std::uint64_t> parse_uint64(const std::string& text);
+
 /// Parsed command line with typed accessors and default values.
 class Args {
  public:

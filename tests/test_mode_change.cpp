@@ -1,7 +1,9 @@
 // Tests for the online mode-change controller (exec/mode_change.h):
 // admission / eviction / resize decision paths, certificate-carrying
-// rejections, the incremental-equals-cold property, the runtime cross-check
-// against the Lemma 2 witness, drain semantics and log determinism.
+// rejections, verdicts that equal the analyzer run on the whole proposal,
+// checkable certificates over seeded request streams, the runtime
+// cross-check against the Lemma 2 witness, drain semantics and log
+// determinism.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -197,72 +199,49 @@ TEST(ModeChangeTest, ResizeIntoFig1cDeadlockRolledBackByCrossCheck) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-equals-cold: the property the verdict copy must preserve.
+// Step 2 is a cold analysis of the whole proposal.
 
-TEST(ModeChangeTest, WarmVerdictsBitIdenticalToColdOverSeededStreams) {
-  // "Warm": the controller's verdicts, analyzed against the committed
-  // mode's snapshots; "cold": a fresh-context re-analysis of each proposal.
+TEST(ModeChangeTest, VerdictIsTheAnalyzerOnTheWholeProposal) {
+  // Whatever came before, each report equals the analyzer run directly on
+  // the proposed set: admissions at lower and higher priority, evictions of
+  // the lowest- and highest-priority task, a resize and a rejection.
+  const analysis::Analyzer& analyzer = analysis::get_analyzer("global-limited");
+  analysis::AnalyzerOptions opts;
+  opts.diagnostics = true;
+  ModeChangeController controller(small_config());
+  std::vector<ModeTransition> log;
+  log.push_back(controller.admit(light_task("tau1", 1)));
+  log.push_back(controller.admit(light_task("tau0", 0)));
+  log.push_back(controller.admit(light_task("tau2", 2)));
+  log.push_back(controller.evict("tau2"));
+  log.push_back(controller.resize(6));
+  log.push_back(controller.evict("tau0"));
+  log.push_back(controller.admit(overload_task("heavy", 3)));
+  for (std::size_t k = 0; k + 1 < log.size(); ++k)
+    EXPECT_TRUE(log[k].committed) << "request " << log[k].id;
+  EXPECT_FALSE(log.back().accepted);
+  for (const ModeTransition& tr : log) {
+    ASSERT_NE(tr.proposed, nullptr) << "request " << tr.id;
+    EXPECT_TRUE(tr.report == analyzer.analyze(*tr.proposed, opts))
+        << "request " << tr.id << " (" << to_string(tr.kind) << ")";
+  }
+}
+
+TEST(ModeChangeTest, SeededStreamsCertifyEveryAnalyzedTransition) {
+  // The independent checker accepts the certificate of every transition
+  // that reached analysis, committed or rejected.
   for (const std::uint64_t seed : {11u, 29u, 47u}) {
     exp::ElasticScenarioParams params;
     params.steps = 8;
     const std::vector<exp::ElasticRequest> requests =
         exp::make_elastic_scenario(params, seed);
     const exp::ElasticReplay replay =
-        exp::replay_elastic(requests, small_config(), /*pool=*/nullptr,
-                            /*verify_cold=*/true);
-    EXPECT_TRUE(replay.verdicts_agree)
-        << "seed " << seed << ": controller verdict diverged from cold re-analysis";
-    EXPECT_GT(replay.verified, 0u) << "seed " << seed;
+        exp::replay_elastic(requests, small_config());
+    EXPECT_EQ(replay.certificate_failures, 0u) << "seed " << seed;
+    EXPECT_GT(replay.certified, 0u) << "seed " << seed;
     EXPECT_EQ(replay.committed + replay.rejected, requests.size())
         << "seed " << seed;
   }
-}
-
-TEST(ModeChangeTest, IncrementalAdmissionsCopyPriorVerdicts) {
-  // The second admission adds tau1 at a LOWER priority than surviving
-  // tau0, so tau0 sits in the copyable prefix — its fixed point is skipped
-  // outright.
-  ModeChangeController controller(small_config());
-  const ModeTransition first = controller.admit(light_task("tau0", 0));
-  ASSERT_TRUE(first.committed);
-  EXPECT_EQ(first.incremental_prefix, 0u);  // no prior incarnation yet
-  const ModeTransition second = controller.admit(light_task("tau1", 1));
-  ASSERT_TRUE(second.committed);
-  EXPECT_EQ(second.incremental_prefix, 1u);
-  EXPECT_GT(second.incremental_hits, 0u);
-  // Bit-identical to a cold run of the same proposal.
-  ASSERT_NE(second.proposed, nullptr);
-  const analysis::Report cold = controller.cold_analyze(*second.proposed);
-  EXPECT_TRUE(cold == second.report);
-}
-
-TEST(ModeChangeTest, IncrementalEvictionsCopyHigherPriorityPrefix) {
-  ModeChangeController controller(small_config());
-  ASSERT_TRUE(controller.admit(light_task("tau0", 0)).committed);
-  ASSERT_TRUE(controller.admit(light_task("tau1", 1)).committed);
-  ASSERT_TRUE(controller.admit(light_task("tau2", 2)).committed);
-  // Evicting the LOWEST-priority task leaves every survivor's ordered
-  // interference inputs unchanged: the whole surviving set is copyable.
-  const ModeTransition evict = controller.evict("tau2");
-  ASSERT_TRUE(evict.committed);
-  EXPECT_EQ(evict.incremental_prefix, 2u);
-  EXPECT_GT(evict.incremental_hits, 0u);
-  ASSERT_NE(evict.proposed, nullptr);
-  const analysis::Report cold = controller.cold_analyze(*evict.proposed);
-  EXPECT_TRUE(cold == evict.report);
-}
-
-TEST(ModeChangeTest, ResizeCopiesNothingButStaysCorrect) {
-  // A resize changes m: the per-analyze core-count guard must reject every
-  // copy. The verdict still matches a cold run at the new m.
-  ModeChangeController controller(small_config());
-  ASSERT_TRUE(controller.admit(light_task("tau0", 0)).committed);
-  const ModeTransition resize = controller.resize(6);
-  ASSERT_TRUE(resize.committed);
-  EXPECT_EQ(resize.incremental_hits, 0u);
-  ASSERT_NE(resize.proposed, nullptr);
-  const analysis::Report cold = controller.cold_analyze(*resize.proposed);
-  EXPECT_TRUE(cold == resize.report);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +262,7 @@ TEST(ModeChangeTest, TransitionLogReplaysBitIdentically) {
   drive(b);
   const std::string log_a = a.render_log_json(/*include_timings=*/false);
   EXPECT_EQ(log_a, b.render_log_json(/*include_timings=*/false));
-  EXPECT_NE(log_a.find("\"rtpool-mode-transitions-v2\""), std::string::npos);
+  EXPECT_NE(log_a.find("\"rtpool-mode-transitions-v3\""), std::string::npos);
   EXPECT_EQ(a.transition_log().size(), 6u);
 }
 

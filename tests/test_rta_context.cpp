@@ -8,12 +8,16 @@
 //    partition rebinds, as the sensitivity search reuses it — answers
 //    exactly as a fresh ("cold") context does;
 //  * analyses with and without a caller-provided context agree exactly;
+//  * a context rebound by reset() — across task sets of different sizes,
+//    so the flat per-node rows grow and shrink — answers every registered
+//    analyzer exactly as a fresh context (the engine's per-worker reuse);
 //  * the analyzer-driven sensitivity search agrees with the predicate
 //    (scaled-copy) reference search, and with a search that builds a fresh
 //    context for every probe.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -421,6 +425,40 @@ TEST(RtaContextTest, EvaluateTaskSetContextInvariant) {
             << "seed " << seed << " " << name;
       }
     }
+  }
+}
+
+TEST(RtaContextTest, ResetReuseMatchesFreshContextAcrossAllAnalyzers) {
+  // (seed, task count): five four-task sets, then sets of 2, 5 and 8 tasks
+  // in turn, so that every reset grows or shrinks the flat per-node rows.
+  const std::vector<std::pair<std::uint64_t, std::size_t>> draws = {
+      {1, 4}, {2, 4}, {3, 4}, {4, 4}, {5, 4},
+      {6, 2}, {7, 5}, {8, 8}, {9, 2}, {10, 5}, {11, 8}};
+  for (const Analyzer* analyzer : registered_analyzers()) {
+    std::optional<RtaContext> reused;
+    std::size_t compared = 0;
+    for (const auto& [seed, tasks] : draws) {
+      const TaskSet ts = random_set(seed, 4, tasks);
+      AnalyzerOptions opts;
+      opts.diagnostics = true;
+      PartitionResult pr;
+      if (analyzer->capabilities().uses_partition) {
+        pr = analyzer->make_partition(ts);
+        if (!pr.success()) continue;
+        opts.partition = &*pr.partition;
+      }
+      if (!reused.has_value())
+        reused.emplace(ts);
+      else
+        reused->reset(ts);
+      RtaContext fresh(ts);
+      const Report a = analyzer->analyze(ts, *reused, opts);
+      const Report b = analyzer->analyze(ts, fresh, opts);
+      EXPECT_TRUE(a == b) << analyzer->name() << " seed " << seed << ", "
+                          << tasks << " tasks: reused context diverged from fresh";
+      ++compared;
+    }
+    EXPECT_GT(compared, draws.size() / 2) << analyzer->name();
   }
 }
 
